@@ -41,7 +41,6 @@ from .consensus import (
     cons_init,
     cons_step,
     pack,
-    unpack,
 )
 from .adversary import (
     ExpanderConfig,

@@ -3,7 +3,10 @@
 Each generator builds a full round-graph sequence, assigns inputs, and tags
 the scenario with the assumption it satisfies (or deliberately violates).
 Generators validate their own output against the graph oracle before
-returning, so a scenario's meta tag is never refuted by the oracle.
+returning, so a scenario's meta tag is never refuted by the oracle.  The
+oracle's facts are computed once per scenario and cached on it
+(`Scenario.facts`), so the postconditions, the checkers and the reports all
+read the same computation.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import networkx as nx
 
@@ -18,8 +22,7 @@ from .graphs import (
     GraphSequence,
     RoundGraph,
     find_r_st,
-    network_round_diameter,
-    root_components,
+    round_diameter,
 )
 
 ASSUMPTION_1 = "ASSUMPTION_1"
@@ -54,6 +57,12 @@ class Scenario:
             raise ValueError("sequence does not match n/horizon")
         if not 1 <= self.d_bound <= max(1, self.n - 1):
             raise ValueError("D must satisfy 1 <= D <= n-1")
+
+    @cached_property
+    def facts(self):
+        """The oracle's StabilityReport for this sequence and D (default
+        window 4D + 2), computed on first use."""
+        return find_r_st(self.seq, self.d_bound)
 
 
 def scenario_to_dict(sc):
@@ -156,8 +165,12 @@ def gen_stable_window(seed, n, d_bound, r_st, window_len=None, horizon=None):
         raise InfeasibleError("need 1 <= D <= n-1")
     if window_len is None:
         window_len = 4 * d_bound + 2
-    if window_len < 1 or r_st < 1:
-        raise InfeasibleError("window_len and r_ST must be >= 1")
+    if window_len < 4 * d_bound + 2:
+        # The oracle looks for a window of 4D + 2 rounds; a shorter one
+        # never yields the claimed r_ST.
+        raise InfeasibleError("window_len must be >= 4D + 2")
+    if r_st < 1:
+        raise InfeasibleError("r_ST must be >= 1")
     if horizon is None:
         horizon = r_st + window_len + 2
     w_end = r_st + window_len - 1
@@ -173,6 +186,11 @@ def gen_stable_window(seed, n, d_bound, r_st, window_len=None, horizon=None):
     rng.shuffle(perm)
     root = perm[:k]
     outside = perm[k:]
+    if n == 2 and k == 1:
+        raise InfeasibleError(
+            "n=2 with a one-process root leaves no other star centre to "
+            "rotate outside the window"
+        )
 
     # Layered periphery: L1..Lm, each nonempty, depth m <= D.
     layers = []
@@ -220,19 +238,12 @@ def gen_stable_window(seed, n, d_bound, r_st, window_len=None, horizon=None):
             )
             prev_center = center
 
-    seq = GraphSequence(n, rounds)
-    report = find_r_st(seq, d_bound)
-    if report.r_st != r_st or not report.assumption_holds:
-        raise AssertionError(
-            f"generator postcondition failed: r_st={report.r_st}, "
-            f"violations={report.unbounded_intervals or report.multi_root_rounds}"
-        )
-    return Scenario(
+    sc = Scenario(
         n=n,
         d_bound=d_bound,
         horizon=horizon,
         inputs=_default_inputs(n),
-        seq=seq,
+        seq=GraphSequence(n, rounds),
         meta={
             "generator": "stable_window",
             "seed": seed,
@@ -240,6 +251,13 @@ def gen_stable_window(seed, n, d_bound, r_st, window_len=None, horizon=None):
             "claimed_r_st": r_st,
         },
     )
+    report = sc.facts
+    if report.r_st != r_st or not report.assumption_holds:
+        raise AssertionError(
+            f"generator postcondition failed: r_st={report.r_st}, "
+            f"violations={report.unbounded_intervals or report.multi_root_rounds}"
+        )
+    return sc
 
 
 def gen_rotating_roots(seed, n, d_bound, horizon):
@@ -269,23 +287,21 @@ def gen_rotating_roots(seed, n, d_bound, horizon):
     )
 
 
-def _tagged_static(name, n, d_bound, horizon, graphs, inputs=None):
-    seq = GraphSequence(n, graphs)
-    report = find_r_st(seq, d_bound)
-    tag = ASSUMPTION_1 if report.assumption_holds else violation("assumption_1")
-    return Scenario(
+def _tagged_static(name, n, d_bound, horizon, graphs):
+    sc = Scenario(
         n=n,
         d_bound=d_bound,
         horizon=horizon,
-        inputs=inputs if inputs is not None else _default_inputs(n),
-        seq=seq,
-        meta={
-            "generator": name,
-            "seed": 0,
-            "assumption": tag,
-            "claimed_r_st": report.r_st,
-        },
+        inputs=_default_inputs(n),
+        seq=GraphSequence(n, graphs),
+        meta={"generator": name, "seed": 0},
     )
+    report = sc.facts
+    sc.meta["assumption"] = (
+        ASSUMPTION_1 if report.assumption_holds else violation("assumption_1")
+    )
+    sc.meta["claimed_r_st"] = report.r_st
+    return sc
 
 
 def gen_static_line(n, horizon):
@@ -314,9 +330,8 @@ def gen_reversing_line(n, kappa, horizon):
     rev = RoundGraph(n, [(i + 1, i) for i in range(n - 1)])
     graphs = [fwd] * kappa + [rev] * (horizon - kappa)
     sc = _tagged_static("reversing_line", n, n - 1, horizon, graphs)
-    meta = dict(sc.meta)
-    meta["kappa"] = kappa
-    return Scenario(sc.n, sc.d_bound, sc.horizon, sc.inputs, sc.seq, meta)
+    sc.meta["kappa"] = kappa
+    return sc
 
 
 def gen_two_roots(n0, n1, horizon):
@@ -420,18 +435,13 @@ def gen_short_window(n, d_bound, horizon, r_st=3, seed=0):
         else:
             extra = a_pair[t % 2]
             rounds.append(RoundGraph(n, edges | {(extra, 0)}))
-    seq = GraphSequence(n, rounds)
 
-    report = find_r_st(seq, d_bound)
-    if report.r_st is not None:
-        raise AssertionError("short-window scenario unexpectedly satisfies "
-                             "the full-length window search")
-    return Scenario(
+    sc = Scenario(
         n=n,
         d_bound=d_bound,
         horizon=horizon,
         inputs=_default_inputs(n),
-        seq=seq,
+        seq=GraphSequence(n, rounds),
         meta={
             "generator": "short_window",
             "seed": seed,
@@ -439,6 +449,10 @@ def gen_short_window(n, d_bound, horizon, r_st=3, seed=0):
             "claimed_r_st": None,
         },
     )
+    if sc.facts.r_st is not None:
+        raise AssertionError("short-window scenario unexpectedly satisfies "
+                             "the full-length window search")
+    return sc
 
 
 @dataclass(frozen=True)
@@ -446,8 +460,6 @@ class ExpanderConfig:
     n: int
     root_size: int
     degree: int = 4
-    alpha_target: float = 0.0
-    reshuffle: bool = True
 
     def __post_init__(self):
         if self.degree < 3:
@@ -488,22 +500,16 @@ def gen_expander(cfg, seed, horizon):
     """Per-round union of a random regular graph on the root set R = [0, |R|)
     and one on all of V, bidirected, minus edges into R from outside."""
     rng = random.Random(f"expander:{seed}:{cfg.n}:{cfg.root_size}:{cfg.degree}")
-    first = _expander_round(cfg, rng)
-    rounds = [first]
-    for _ in range(horizon - 1):
-        rounds.append(_expander_round(cfg, rng) if cfg.reshuffle else first)
-    seq = GraphSequence(cfg.n, rounds)
+    seq = GraphSequence(
+        cfg.n, [_expander_round(cfg, rng) for _ in range(horizon)]
+    )
 
     root = frozenset(range(cfg.root_size))
-    for t in range(1, horizon + 1):
-        rr = root_components(seq.round(t))
-        if not (rr.is_single and rr.roots[0] == root):
-            raise AssertionError(f"round {t}: root is not R")
-    measured = network_round_diameter(seq, 1, root)
+    measured = round_diameter(seq, 1, root)
     if measured == float("inf"):
         raise InfeasibleError("horizon too short to measure the diameter")
     d_bound = min(max(1, int(measured)), cfg.n - 1)
-    return Scenario(
+    sc = Scenario(
         n=cfg.n,
         d_bound=d_bound,
         horizon=horizon,
@@ -517,6 +523,10 @@ def gen_expander(cfg, seed, horizon):
             "measured_diameter": int(measured),
         },
     )
+    for t, rr in enumerate(sc.facts.roots, start=1):
+        if not (rr.is_single and rr.roots[0] == root):
+            raise AssertionError(f"round {t}: root is not R")
+    return sc
 
 
 def sampled_expansion(g, root, samples=200, seed=0):

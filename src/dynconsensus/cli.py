@@ -16,7 +16,6 @@ from .graphs import (
     OutOfRangeError,
     MultipleRootsError,
     causal_distance,
-    find_r_st,
     network_causal_diameter,
     root_components,
     INFINITY,
@@ -35,8 +34,15 @@ def _fmt(value):
     return str(value)
 
 
+# Generators without a default horizon.
+NEEDS_HORIZON = ("rotating_roots", "static_line", "static_star",
+                 "reversing_line", "two_roots", "short_window", "expander")
+
+
 def _build_scenario(args):
     gen = args.gen
+    if args.horizon is None and gen in NEEDS_HORIZON:
+        raise adv.InfeasibleError(f"--gen {gen} needs --horizon")
     if gen == "stable_window":
         return adv.gen_stable_window(
             seed=args.seed, n=args.n, d_bound=args.d, r_st=args.r_st,
@@ -69,11 +75,8 @@ def _build_scenario(args):
 
 
 def _print_validation(sc):
-    report = find_r_st(sc.seq, sc.d_bound)
-    counts = sorted(
-        {len(root_components(sc.seq.round(r)).roots)
-         for r in range(1, sc.horizon + 1)}
-    )
+    report = sc.facts
+    counts = sorted({len(rr.roots) for rr in report.roots})
     print(f"generator={sc.meta.get('generator')} n={sc.n} D={sc.d_bound} "
           f"T={sc.horizon}")
     print(f"roots_per_round={counts}")
@@ -88,14 +91,14 @@ def _print_validation(sc):
 def cmd_generate(args):
     try:
         sc = _build_scenario(args)
-    except adv.InfeasibleError as exc:
+    except ValueError as exc:  # InfeasibleError, or a value Scenario rejects
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         adv.scenario_save(sc, args.out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_USAGE
     _print_validation(sc)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -141,7 +144,7 @@ def cmd_oracle(args):
             r, s = int(q[1]), int(q[2])
             print(_fmt(network_causal_diameter(sc.seq, (r, s))))
         elif q[0] == "rst":
-            print(_fmt(find_r_st(sc.seq, sc.d_bound).r_st))
+            print(_fmt(sc.facts.r_st))
         else:
             print(f"unknown query: {q[0]}", file=sys.stderr)
             return EXIT_USAGE

@@ -52,10 +52,6 @@ def pack(approx_msg, cons_msg):
     return PackedMessage(approx=approx_msg, cons=cons_msg)
 
 
-def unpack(msg):
-    return msg.approx, msg.cons
-
-
 def cons_init(input_value):
     return ConsensusState(x=int(input_value))
 

@@ -156,18 +156,22 @@ class StableIntervalReport:
     vertex_set: frozenset | None
     per_round_diameter: dict | None = None
     interval_diameter: float | None = None
-    d_bounded_for: int | None = None
     multi_root: bool = False
 
 
 @dataclass
 class StabilityReport:
-    """Outcome of the r_ST search, including assumption-clause violations."""
+    """The oracle's facts about one sequence and D: the r_ST search outcome,
+    assumption-clause violations, the root components of every round
+    (roots[r - 1] for round r), and the maximal single-root vertex-stable
+    intervals longer than D that are D-bounded, as (a, b, members)."""
 
     r_st: int | None
     window: tuple | None
     multi_root_rounds: list = field(default_factory=list)
     unbounded_intervals: list = field(default_factory=list)
+    roots: tuple = ()
+    d_bounded_intervals: list = field(default_factory=list)
 
     @property
     def assumption_holds(self):
@@ -287,39 +291,48 @@ def causal_distance(seq, r, p, q):
     return causal_reach(seq, r, p)[q]
 
 
-def component_round_diameter(seq, x, members, max_steps=None):
-    """Largest cd_x(p, q) over p, q in members (chains may leave the set)."""
+def round_diameter(seq, x, sources, targets=None, max_steps=None):
+    """Largest cd_x(p, q) over p in sources and q in targets (default: every
+    process); chains may leave both sets.  INFINITY as soon as one chain does
+    not complete within max_steps (default the remaining horizon)."""
     worst = 0
-    for p in members:
+    for p in sources:
         dist = causal_reach(seq, x, p, max_steps=max_steps)
-        for q in members:
-            d = dist[q]
-            if d == INFINITY:
-                return INFINITY
-            if d > worst:
-                worst = d
+        d = max(dist) if targets is None else max(dist[q] for q in targets)
+        if d == INFINITY:
+            return INFINITY
+        if d > worst:
+            worst = d
     return worst
 
 
-def network_round_diameter(seq, x, root_members, max_steps=None):
-    """Largest cd_x(p, q) over p in the round-x root and all q."""
-    worst = 0
-    for p in root_members:
-        dist = causal_reach(seq, x, p, max_steps=max_steps)
-        for d in dist:
-            if d == INFINITY:
-                return INFINITY
-            if d > worst:
-                worst = d
-    return worst
+def _interval_diameters(per_round, lo, b):
+    """Yield (a, D([a, b])) for a = b, b - 1, ..., lo in one leftward pass.
+
+    D([a, b]) is the largest per-round diameter of a round x in [a, b] whose
+    propagation completes by round b, or INFINITY if none does.
+    """
+    best = 0
+    for a in range(b, lo - 1, -1):
+        v = per_round[a]
+        if a + v - 1 <= b and v > best:
+            best = v
+        yield a, best or INFINITY
 
 
-def _interval_diameter(per_round, s):
-    """max of the per-round diameters whose propagation completes by round s."""
-    vals = [
-        v for x, v in per_round.items() if v != INFINITY and x + v - 1 <= s
-    ]
-    return max(vals) if vals else INFINITY
+def _interval_diameter(per_round, a, b):
+    """D([a, b]): the last value of the leftward pass."""
+    *_, (_, diameter) = _interval_diameters(per_round, a, b)
+    return diameter
+
+
+def _is_d_bounded(per_round, a, b, diameter, d_bound):
+    """The D-bounded rule for a vertex-stable component over [a, b] with
+    interval diameter `diameter`: at most D, and propagation starting at
+    round b - D + 1, which must lie inside the interval, completes within D
+    rounds as well."""
+    x0 = b - d_bound + 1
+    return diameter <= d_bound and x0 >= a and per_round[x0] <= d_bound
 
 
 def _scc_containing(g, v):
@@ -344,13 +357,13 @@ def scc_causal_diameter(seq, interval, members):
                 f"members are not a vertex-stable SCC at round {x}"
             )
     per_round = {
-        x: component_round_diameter(seq, x, members) for x in range(r, s + 1)
+        x: round_diameter(seq, x, members, members) for x in range(r, s + 1)
     }
     return StableIntervalReport(
         interval=(r, s),
         vertex_set=members,
         per_round_diameter=per_round,
-        interval_diameter=_interval_diameter(per_round, s),
+        interval_diameter=_interval_diameter(per_round, r, s),
     )
 
 
@@ -368,10 +381,27 @@ def network_causal_diameter(seq, interval):
             )
         # Diameters larger than the remaining window cannot qualify anyway,
         # so the reachability search is capped at s - x + 1 steps.
-        per_round[x] = network_round_diameter(
+        per_round[x] = round_diameter(
             seq, x, report.roots[0], max_steps=s - x + 1
         )
-    return _interval_diameter(per_round, s)
+    return _interval_diameter(per_round, r, s)
+
+
+def _stable_runs(root_reports):
+    """Group per-round RootReports (round 1 first) into maximal intervals
+    with a constant single-root vertex set; runs of multi-root rounds are
+    reported separately with multi_root=True."""
+    reports = []
+    for x, rr in enumerate(root_reports, start=1):
+        # vertex_set is None exactly on multi-root rounds.
+        vset = rr.roots[0] if rr.is_single else None
+        if reports and reports[-1].vertex_set == vset:
+            reports[-1].interval = (reports[-1].interval[0], x)
+        else:
+            reports.append(StableIntervalReport(
+                interval=(x, x), vertex_set=vset, multi_root=vset is None
+            ))
+    return reports
 
 
 def vertex_stable_intervals(seq):
@@ -379,33 +409,7 @@ def vertex_stable_intervals(seq):
 
     Runs of multi-root rounds are reported separately with multi_root=True.
     """
-    reports = []
-    current_set = None
-    current_multi = None
-    start = None
-    for x in range(1, seq.horizon + 1):
-        rr = root_components(seq.round(x))
-        vset = rr.roots[0] if rr.is_single else None
-        multi = not rr.is_single
-        if start is not None and vset == current_set and multi == current_multi:
-            continue
-        if start is not None:
-            reports.append(
-                StableIntervalReport(
-                    interval=(start, x - 1),
-                    vertex_set=current_set,
-                    multi_root=current_multi,
-                )
-            )
-        start, current_set, current_multi = x, vset, multi
-    reports.append(
-        StableIntervalReport(
-            interval=(start, seq.horizon),
-            vertex_set=current_set,
-            multi_root=current_multi,
-        )
-    )
-    return reports
+    return _stable_runs(root_components(g) for g in seq.rounds)
 
 
 def check_d_bounded(seq, interval, members, d_bound):
@@ -413,92 +417,64 @@ def check_d_bounded(seq, interval, members, d_bound):
     late-start diameter at round s - D + 1 both at most D."""
     if d_bound < 1:
         raise ValueError("D must be >= 1")
-    r, s = interval
     report = scc_causal_diameter(seq, interval, members)
-    if report.interval_diameter > d_bound:
-        return False
-    x0 = s - d_bound + 1
-    if x0 < 1:
-        return False
-    late = component_round_diameter(seq, x0, frozenset(members))
-    return late <= d_bound
-
-
-def _root_window_bounded(per_round, a, b, d_bound):
-    """D-boundedness of the root component over [a, b] from per-round network
-    diameters (values may be INFINITY when capped past the enclosing run)."""
-    di = _interval_diameter({x: per_round[x] for x in range(a, b + 1)}, b)
-    if di > d_bound:
-        return False
-    x0 = b - d_bound + 1
-    if x0 < a:
-        return False
-    return per_round[x0] <= d_bound
+    return _is_d_bounded(
+        report.per_round_diameter, *interval, report.interval_diameter, d_bound
+    )
 
 
 def find_r_st(seq, d_bound, window_len=None):
-    """Search for the earliest stability window of Assumption-1 shape.
+    """Search for the earliest stability window of Assumption-1 shape, and
+    collect the oracle's facts about the sequence on the way.
 
     Returns a StabilityReport with the smallest r such that
     [r, r + window_len - 1] lies within the horizon and hosts a D-bounded
     vertex-stable root component (window_len defaults to 4D + 2, the minimum
     satisfying d > 4D).  Violations of the single-root clause and of
     "every stable root interval of length >= D is D-bounded" are reported as
-    fields, not errors.
+    fields, not errors.  Every round is decomposed into root components
+    exactly once.
     """
     if d_bound < 1:
         raise ValueError("D must be >= 1")
     if window_len is None:
         window_len = 4 * d_bound + 2
 
-    intervals = vertex_stable_intervals(seq)
-    multi_root_rounds = []
-    for rep in intervals:
-        if rep.multi_root:
-            multi_root_rounds.extend(range(rep.interval[0], rep.interval[1] + 1))
-
-    unbounded = []
-    r_st = None
-    window = None
-    for rep in intervals:
-        if rep.multi_root:
-            continue
+    roots = tuple(root_components(g) for g in seq.rounds)
+    report = StabilityReport(
+        r_st=None,
+        window=None,
+        multi_root_rounds=[
+            x for x, rr in enumerate(roots, start=1) if not rr.is_single
+        ],
+        roots=roots,
+    )
+    for rep in _stable_runs(roots):
         a0, b0 = rep.interval
-        length = b0 - a0 + 1
-        if length < d_bound and length < window_len:
+        if rep.multi_root or b0 - a0 + 1 < d_bound:
+            # No interval shorter than D is D-bounded.
             continue
         members = rep.vertex_set
         # Capped at the end of this stable run: any propagation that
         # qualifies for a sub-interval must finish inside it.
         per_round = {
-            x: network_round_diameter(seq, x, members, max_steps=b0 - x + 1)
+            x: round_diameter(seq, x, members, max_steps=b0 - x + 1)
             for x in range(a0, b0 + 1)
         }
-        # Global clause: every stable root interval of length >= D must be
-        # D-bounded.  For a fixed end b, extend the start leftwards keeping a
-        # running max of the qualifying per-round diameters.
+        # Every sub-interval [a, b] of length >= D, for a fixed end b with
+        # the start extended leftwards: the global clause needs all of them
+        # D-bounded, the window search the earliest bounded one of length
+        # window_len, and the checkers the whole run when longer than D.
         for b in range(a0 + d_bound - 1, b0 + 1):
-            best = 0
-            for a in range(b, a0 - 1, -1):
-                v = per_round[a]
-                if v != INFINITY and a + v - 1 <= b and v > best:
-                    best = v
-                if b - a + 1 >= d_bound:
-                    di = best if best > 0 else INFINITY
-                    if di > d_bound or per_round[b - d_bound + 1] > d_bound:
-                        unbounded.append((a, b))
-        # Smallest window start hosting a D-bounded stable root.
-        if r_st is None:
-            for a in range(a0, b0 - window_len + 2):
-                b = a + window_len - 1
-                if _root_window_bounded(per_round, a, b, d_bound):
-                    r_st = a
-                    window = (a, b)
-                    break
-
-    return StabilityReport(
-        r_st=r_st,
-        window=window,
-        multi_root_rounds=multi_root_rounds,
-        unbounded_intervals=unbounded,
-    )
+            for a, diameter in _interval_diameters(per_round, a0, b):
+                length = b - a + 1
+                if length < d_bound:
+                    continue
+                if not _is_d_bounded(per_round, a, b, diameter, d_bound):
+                    report.unbounded_intervals.append((a, b))
+                    continue
+                if length == window_len and report.r_st is None:
+                    report.r_st, report.window = a, (a, b)
+                if (a, b) == (a0, b0) and length > d_bound:
+                    report.d_bounded_intervals.append((a0, b0, members))
+    return report

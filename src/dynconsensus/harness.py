@@ -2,7 +2,8 @@
 
 The engine wires the approximation and consensus state machines to a
 scenario's graph sequence.  Checkers compare the recorded trace against the
-graph oracle, which never looks at protocol state.
+graph oracle's facts about the scenario (`Scenario.facts`, computed once per
+scenario), which never look at protocol state.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import dataclass, field
 
 from . import approximation as ap
 from . import consensus as cs
-from .graphs import (
-    _bits,
-    root_components,
-    find_r_st,
-    network_round_diameter,
-    vertex_stable_intervals,
-    _root_window_bounded,
-)
+from .graphs import _bits
 
 
 def approx_digest(state):
@@ -85,9 +79,11 @@ def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
     """
     n = scenario.n
     d = scenario.d_bound
-    horizon = horizon_override or scenario.horizon
-    if horizon > scenario.horizon:
-        raise ValueError("horizon override exceeds the scenario horizon")
+    horizon = scenario.horizon if horizon_override is None else horizon_override
+    if not 1 <= horizon <= scenario.horizon:
+        raise ValueError(
+            f"horizon override {horizon} outside [1, {scenario.horizon}]"
+        )
 
     approx = [ap.approx_init(p) for p in range(n)]
     cons = [cs.cons_init(scenario.inputs[p]) for p in range(n)]
@@ -228,14 +224,13 @@ def check_validity(trace):
     return CheckerVerdict("validity", "pass")
 
 
-def check_termination_bound(trace, report=None):
+def check_termination_bound(trace):
     sc = trace.scenario
-    if report is None:
-        report = find_r_st(sc.seq, sc.d_bound)
-    if report.r_st is None:
+    r_st = sc.facts.r_st
+    if r_st is None:
         return CheckerVerdict("termination", "skipped",
                               witness={"reason": "no stability window"})
-    bound = report.r_st + 4 * sc.d_bound + 1
+    bound = r_st + 4 * sc.d_bound + 1
     simulated = len(trace.records)
     if simulated < bound:
         return CheckerVerdict("termination", "inconclusive",
@@ -253,36 +248,21 @@ def check_termination_bound(trace, report=None):
     return CheckerVerdict("termination", "pass", witness={"bound": bound})
 
 
-def _d_bounded_root_intervals(scenario):
-    """Maximal single-root vertex-stable intervals that are D-bounded for the
-    scenario's D and longer than D rounds."""
-    seq, d = scenario.seq, scenario.d_bound
-    out = []
-    for rep in vertex_stable_intervals(seq):
-        if rep.multi_root:
-            continue
-        a, b = rep.interval
-        if b - a + 1 <= d:
-            continue
-        per_round = {
-            x: network_round_diameter(seq, x, rep.vertex_set, max_steps=b - x + 1)
-            for x in range(a, b + 1)
-        }
-        if _root_window_bounded(per_round, a, b, d):
-            out.append((a, b, rep.vertex_set))
-    return out
-
-
-def check_approx_invariants(trace, stable_intervals=None):
+def check_approx_invariants(trace):
     """Oracle verification of the approximation layer on every round state:
     under-approximation and in-neighborhood completeness of each changed
     slice, soundness of nonempty detected components, detection completeness
     over D-bounded stable root intervals, and the end-of-interval predicate.
+
+    A pruned run keeps only the paper's 4D+1-slice window: at round t the
+    slices before t - 4D are gone, so the completeness rules check only the
+    slices that window retains.  The cutoff comes from the trace's pruning
+    flag and D, never from protocol state.
     """
     sc = trace.scenario
     seq, n, d = sc.seq, sc.n, sc.d_bound
     horizon = len(trace.records)
-    roots = [root_components(seq.round(r)) for r in range(1, horizon + 1)]
+    roots = sc.facts.roots
 
     def fail(rule, **witness):
         return CheckerVerdict("approx", "fail", witness={"rule": rule, **witness})
@@ -326,13 +306,13 @@ def check_approx_invariants(trace, stable_intervals=None):
                         detected=sorted(comp),
                     )
 
-    if stable_intervals is None:
-        stable_intervals = _d_bounded_root_intervals(sc)
-    for a, b, members in stable_intervals:
+    # A round-t state holds the slices from t - retained on.
+    retained = 4 * d if trace.pruned else horizon
+    for a, b, members in sc.facts.d_bounded_intervals:
         if b > horizon:
             continue
         for p in sorted(members):
-            for t in range(a + d, b + 1):
+            for t in range(a + d, min(b, a + retained) + 1):
                 state = trace.approx_states[t - 1][p]
                 comp = ap.detected_component(state, a)
                 if comp != members:
@@ -343,15 +323,16 @@ def check_approx_invariants(trace, stable_intervals=None):
                     )
             if b - d >= a:
                 state = trace.approx_states[b - 1][p]
-                if not ap.in_stable_root(state, (a, b - d), b):
+                interval = (max(a, b - retained), b - d)
+                if not ap.in_stable_root(state, interval, b):
                     return fail(
                         "stable_predicate",
-                        process=p, interval=[a, b - d], round=b,
+                        process=p, interval=list(interval), round=b,
                     )
     return CheckerVerdict("approx", "pass")
 
 
-def check_lock_discipline(trace, report=None):
+def check_lock_discipline(trace):
     """Properties of the first decision: lock timing, oracle-confirmed
     stability around the lock round, members locking together, and one
     proposal value at the decision round."""
@@ -359,12 +340,12 @@ def check_lock_discipline(trace, report=None):
     if not trace.decisions:
         return CheckerVerdict("lock", "skipped",
                               witness={"reason": "no decisions"})
-    seq, d = sc.seq, sc.d_bound
+    d = sc.d_bound
     horizon = len(trace.records)
-    for r in range(1, horizon + 1):
-        if not root_components(seq.round(r)).is_single:
-            return CheckerVerdict("lock", "skipped",
-                                  witness={"reason": "multi-root round"})
+    roots = sc.facts.roots
+    if not all(rr.is_single for rr in roots[:horizon]):
+        return CheckerVerdict("lock", "skipped",
+                              witness={"reason": "multi-root round"})
 
     rf = min(r for _, r in trace.decisions.values())
     deciders = sorted(p for p, (_, r) in trace.decisions.items() if r == rf)
@@ -384,9 +365,9 @@ def check_lock_discipline(trace, report=None):
     lo, hi = lock_round - d - 1, lock_round + d
     if lo < 1 or hi > horizon:
         return fail("window_out_of_range", window=[lo, hi])
-    members = root_components(seq.round(lo)).roots[0]
+    members = roots[lo - 1].roots[0]
     for x in range(lo, hi + 1):
-        if root_components(seq.round(x)).roots[0] != members:
+        if roots[x - 1].roots[0] != members:
             return fail("not_vertex_stable", round=x)
 
     locked_at = {
@@ -418,18 +399,15 @@ def check_lock_discipline(trace, report=None):
     return CheckerVerdict("lock", "pass")
 
 
-def run_checkers(trace, full=True, report=None):
-    sc = trace.scenario
-    if report is None:
-        report = find_r_st(sc.seq, sc.d_bound)
+def run_checkers(trace, full=True):
     verdicts = [
         check_agreement(trace),
         check_validity(trace),
-        check_termination_bound(trace, report=report),
+        check_termination_bound(trace),
     ]
     if full:
         verdicts.append(check_approx_invariants(trace))
-        verdicts.append(check_lock_discipline(trace, report=report))
+        verdicts.append(check_lock_discipline(trace))
     trace.verdicts = verdicts
     return verdicts
 
@@ -441,11 +419,10 @@ REPORT_COLUMNS = [
 ]
 
 
-def summarize(trace, report=None):
+def summarize(trace):
     """One report row (dict keyed by REPORT_COLUMNS) for a checked trace."""
     sc = trace.scenario
-    if report is None:
-        report = find_r_st(sc.seq, sc.d_bound)
+    report = sc.facts
     rounds = [r for _, r in trace.decisions.values()]
     row = {
         "seed": sc.meta.get("seed"),
@@ -469,10 +446,9 @@ def batch(scenarios, full=False, prune=False):
     """Run and check each scenario; returns (rows, traces) in input order."""
     rows, traces = [], []
     for sc in scenarios:
-        report = find_r_st(sc.seq, sc.d_bound)
         trace = run(sc, prune=prune)
-        run_checkers(trace, full=full, report=report)
-        rows.append(summarize(trace, report=report))
+        run_checkers(trace, full=full)
+        rows.append(summarize(trace))
         traces.append(trace)
     return rows, traces
 

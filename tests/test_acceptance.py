@@ -4,13 +4,16 @@ Run with `pytest -v` (add -s to see the verdict lines as they appear).
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dynconsensus
 from dynconsensus import (
     INFINITY,
     ExpanderConfig,
@@ -288,13 +291,18 @@ def test_acceptance_9_determinism(tmp_path):
 
     driver = tmp_path / "driver.py"
     driver.write_text(DRIVER)
+    # The driver imports the same dynconsensus this test imported.
+    src = str(Path(dynconsensus.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
     outputs = []
     for rep in ("run1", "run2"):
         out_dir = tmp_path / rep
         out_dir.mkdir()
         proc = subprocess.run(
             [sys.executable, str(driver), str(out_dir)] + paths,
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=env,
         )
         traces = b"".join(
             (out_dir / f"trace{i}.jsonl").read_bytes() for i in range(20)

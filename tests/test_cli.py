@@ -1,3 +1,5 @@
+import pytest
+
 from dynconsensus.cli import main
 
 
@@ -47,6 +49,41 @@ def test_infeasible_generate(tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gen", "rotating_roots"],
+    ["--gen", "static_line"],
+    ["--gen", "static_star"],
+    ["--gen", "reversing_line"],
+    ["--gen", "two_roots"],
+    ["--gen", "short_window", "--n", "6"],
+    ["--gen", "expander", "--n", "16", "--root-size", "4"],
+    ["--gen", "stable_window", "--window-len", "3"],
+    ["--gen", "stable_window", "--n", "2", "--d", "1", "--seed", "4"],
+    ["--gen", "static_line", "--horizon", "0"],
+    ["--gen", "rotating_roots", "--d", "0", "--horizon", "5"],
+    ["--gen", "static_star", "--horizon", "5", "--out", "missing/sc.json"],
+])
+def test_generate_usage_errors_exit_2(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if "--out" not in flags:
+        flags = flags + ["--out", "sc.json"]
+    code = main(["generate"] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.strip()
+
+
+def test_run_prune_static_star_passes(tmp_path, capsys):
+    sc = tmp_path / "star.json"
+    assert main(["generate", "--gen", "static_star", "--n", "4",
+                 "--horizon", "30", "--out", str(sc)]) == 0
+    capsys.readouterr()
+    code = main(["run", "--scenario", str(sc), "--prune"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "approx: pass" in out and "RESULT: PASS" in out
 
 
 def test_bad_flags_are_usage_errors(capsys):

@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
 from dynconsensus import (
     ApproxState,
     GraphSequence,
     RoundGraph,
     Scenario,
+    approx_prune,
     batch,
     check_agreement,
     check_approx_invariants,
@@ -13,6 +16,7 @@ from dynconsensus import (
     check_validity,
     gen_rotating_roots,
     gen_stable_window,
+    gen_static_star,
     gen_two_roots,
     report_csv,
     run,
@@ -20,6 +24,7 @@ from dynconsensus import (
     summarize,
     trace_save,
 )
+from dynconsensus import graphs
 from dynconsensus.harness import REPORT_COLUMNS
 
 
@@ -80,6 +85,11 @@ class TestRun:
         trace = run(three_cycle(horizon=12))
         final = trace.cons_states[-1]
         assert all(st.decided and st.x == 5 for st in final)
+
+    @pytest.mark.parametrize("override", [0, -1, 13])
+    def test_horizon_override_out_of_range(self, override):
+        with pytest.raises(ValueError):
+            run(three_cycle(horizon=12), horizon_override=override)
 
     def test_crash_embedding(self):
         # Removing q's out-edges from round r+1 is equivalent, for everyone
@@ -176,6 +186,39 @@ class TestCheckers:
         assert verdict.status == "fail"
         assert verdict.witness["rule"] in ("subset", "in_neighborhood")
 
+    def test_pruned_static_star_passes(self):
+        # The engine keeps 4D+1 slices; the latency rule must not read
+        # slices it has pruned away.
+        trace = run(gen_static_star(4, 30), prune=True)
+        assert check_approx_invariants(trace).status == "pass"
+        assert all(v.status == "pass" for v in run_checkers(trace))
+
+    def test_pruned_forged_edge_in_retained_slice(self):
+        trace = run(gen_static_star(4, 30), prune=True)
+        r, t = 21, 20  # round 21 retains slices >= 21 - 4D = 12
+        state = trace.approx_states[r - 1][0]
+        forged = dict(state.edges)
+        forged[(1, 2)] = 1 << t  # the star has no edge 1 -> 2
+        trace.approx_states[r - 1][0] = ApproxState(
+            owner=0, vertices=state.vertices, edges=forged,
+            pruned_before=state.pruned_before,
+        )
+        verdict = check_approx_invariants(trace)
+        assert verdict.status == "fail"
+        assert verdict.witness["rule"] in ("subset", "in_neighborhood")
+
+    def test_pruned_over_eager_pruner_fails(self):
+        # Pruning to 2D+1 slices drops slices the 4D+1 window must keep.
+        sc = gen_static_star(4, 30)
+        trace = run(sc, prune=True)
+        for t, states in enumerate(trace.approx_states, start=1):
+            keep_after = t - 2 * sc.d_bound
+            if keep_after > 0:
+                states[:] = [approx_prune(st, keep_after) for st in states]
+        verdict = check_approx_invariants(trace)
+        assert verdict.status == "fail"
+        assert verdict.witness["rule"] == "detection_latency"
+
     def test_lock_discipline_pass(self):
         trace = run(gen_stable_window(seed=5, n=6, d_bound=2, r_st=4))
         assert check_lock_discipline(trace).status == "pass"
@@ -266,3 +309,18 @@ class TestBatch:
         row = summarize(trace)
         assert row["r_ST"] == "NONE"
         assert row["first_decision"] == "NONE"
+
+
+def test_batch_decomposes_each_round_once(monkeypatch):
+    calls = []
+    real = graphs.root_components
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "root_components", counted)
+    sc = gen_stable_window(seed=7, n=6, d_bound=2, r_st=3)
+    rows, _ = batch([sc], full=True)
+    assert rows[0]["approx"] == rows[0]["lock"] == "pass"
+    assert len(calls) == sc.horizon
