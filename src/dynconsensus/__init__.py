@@ -36,11 +36,9 @@ from .consensus import (
     ConsensusState,
     DecideMessage,
     LockMessage,
-    PackedMessage,
     cons_emit,
     cons_init,
     cons_step,
-    pack,
 )
 from .adversary import (
     ExpanderConfig,

@@ -75,10 +75,11 @@ def scenario_to_dict(sc):
             [[p, q] for p, q in g.sorted_edges()] for g in sc.seq.rounds
         ],
         "meta": {
-            "generator": sc.meta.get("generator"),
-            "seed": sc.meta.get("seed"),
-            "assumption": sc.meta.get("assumption"),
-            "claimed_r_st": sc.meta.get("claimed_r_st"),
+            "generator": None,
+            "seed": None,
+            "assumption": None,
+            "claimed_r_st": None,
+            **sc.meta,
         },
     }
 

@@ -8,6 +8,7 @@ All output is stable for fixed inputs (no timestamps, sorted keys).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import adversary as adv
@@ -39,18 +40,18 @@ NEEDS_HORIZON = ("rotating_roots", "static_line", "static_star",
                  "reversing_line", "two_roots", "short_window", "expander")
 
 
-def _build_scenario(args):
+def _build_scenario(args, seed):
     gen = args.gen
     if args.horizon is None and gen in NEEDS_HORIZON:
         raise adv.InfeasibleError(f"--gen {gen} needs --horizon")
     if gen == "stable_window":
         return adv.gen_stable_window(
-            seed=args.seed, n=args.n, d_bound=args.d, r_st=args.r_st,
+            seed=seed, n=args.n, d_bound=args.d, r_st=args.r_st,
             window_len=args.window_len, horizon=args.horizon,
         )
     if gen == "rotating_roots":
         return adv.gen_rotating_roots(
-            seed=args.seed, n=args.n, d_bound=args.d, horizon=args.horizon
+            seed=seed, n=args.n, d_bound=args.d, horizon=args.horizon
         )
     if gen == "static_line":
         return adv.gen_static_line(args.n, args.horizon)
@@ -64,13 +65,13 @@ def _build_scenario(args):
         return adv.gen_complete_then_rings(args.horizon or 3)
     if gen == "short_window":
         return adv.gen_short_window(
-            args.n, args.d, args.horizon, r_st=args.r_st or 3, seed=args.seed
+            args.n, args.d, args.horizon, r_st=args.r_st or 3, seed=seed
         )
     if gen == "expander":
         cfg = adv.ExpanderConfig(
             n=args.n, root_size=args.root_size, degree=args.degree
         )
-        return adv.gen_expander(cfg, args.seed, args.horizon)
+        return adv.gen_expander(cfg, seed, args.horizon)
     raise adv.InfeasibleError(f"unknown generator: {gen}")
 
 
@@ -90,7 +91,7 @@ def _print_validation(sc):
 
 def cmd_generate(args):
     try:
-        sc = _build_scenario(args)
+        sc = _build_scenario(args, args.seed)
     except ValueError as exc:  # InfeasibleError, or a value Scenario rejects
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -117,7 +118,7 @@ def cmd_run(args):
     for v in verdicts:
         line = f"{v.name}: {v.status}"
         if v.status == "fail" and v.witness is not None:
-            line += f" witness={v.witness}"
+            line += " witness=" + json.dumps(v.witness, sort_keys=True)
         print(line)
     ok = all(v.ok for v in verdicts)
     print("RESULT: " + ("PASS" if ok else "FAIL"))
@@ -155,29 +156,11 @@ def cmd_oracle(args):
 
 
 def cmd_batch(args):
-    scenarios = []
     try:
-        for i in range(args.count):
-            seed = args.seed + i
-            if args.gen == "stable_window":
-                scenarios.append(
-                    adv.gen_stable_window(
-                        seed=seed, n=args.n, d_bound=args.d,
-                        r_st=args.r_st or (2 + seed % 5),
-                    )
-                )
-            elif args.gen == "rotating_roots":
-                scenarios.append(
-                    adv.gen_rotating_roots(
-                        seed=seed, n=args.n, d_bound=args.d,
-                        horizon=args.horizon or 30,
-                    )
-                )
-            else:
-                print(f"batch supports stable_window and rotating_roots, "
-                      f"not {args.gen}", file=sys.stderr)
-                return EXIT_USAGE
-    except adv.InfeasibleError as exc:
+        scenarios = [
+            _build_scenario(args, args.seed + i) for i in range(args.count)
+        ]
+    except ValueError as exc:  # InfeasibleError, or a value Scenario rejects
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows, _ = harness.batch(scenarios, full=args.full)
@@ -215,6 +198,23 @@ def cmd_report(args):
     return EXIT_OK
 
 
+def _add_generator_flags(parser):
+    """The flags `_build_scenario` reads; `batch` scenario i uses seed + i."""
+    parser.add_argument("--gen", required=True)
+    parser.add_argument("--n", type=int, default=4)
+    parser.add_argument("--d", type=int, default=2)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--horizon", type=int, default=None)
+    parser.add_argument("--r-st", dest="r_st", type=int, default=2)
+    parser.add_argument("--window-len", dest="window_len", type=int,
+                        default=None)
+    parser.add_argument("--kappa", type=int, default=3)
+    parser.add_argument("--n0", type=int, default=2)
+    parser.add_argument("--n1", type=int, default=2)
+    parser.add_argument("--root-size", dest="root_size", type=int, default=8)
+    parser.add_argument("--degree", type=int, default=4)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dynconsensus",
@@ -224,18 +224,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a scenario file")
-    g.add_argument("--gen", required=True)
-    g.add_argument("--n", type=int, default=4)
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--horizon", type=int, default=None)
-    g.add_argument("--r-st", dest="r_st", type=int, default=2)
-    g.add_argument("--window-len", dest="window_len", type=int, default=None)
-    g.add_argument("--kappa", type=int, default=3)
-    g.add_argument("--n0", type=int, default=2)
-    g.add_argument("--n1", type=int, default=2)
-    g.add_argument("--root-size", dest="root_size", type=int, default=8)
-    g.add_argument("--degree", type=int, default=4)
+    _add_generator_flags(g)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -254,13 +243,8 @@ def build_parser():
     o.set_defaults(func=cmd_oracle)
 
     b = sub.add_parser("batch", help="seeded sweep with CSV report")
-    b.add_argument("--gen", required=True)
+    _add_generator_flags(b)
     b.add_argument("--count", type=int, required=True)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--n", type=int, default=6)
-    b.add_argument("--d", type=int, default=2)
-    b.add_argument("--r-st", dest="r_st", type=int, default=None)
-    b.add_argument("--horizon", type=int, default=None)
     b.add_argument("--full", action="store_true")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_batch)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .approximation import ApproxMessage
-
 
 @dataclass(frozen=True)
 class ConsensusState:
@@ -35,23 +33,6 @@ class DecideMessage:
     x: int
 
 
-@dataclass(frozen=True)
-class PackedMessage:
-    """The per-round wire unit: approximation snapshot + consensus message,
-    both from the same sender."""
-
-    approx: ApproxMessage
-    cons: "LockMessage | DecideMessage"
-
-    @property
-    def sender(self):
-        return self.approx.sender
-
-
-def pack(approx_msg, cons_msg):
-    return PackedMessage(approx=approx_msg, cons=cons_msg)
-
-
 def cons_init(input_value):
     return ConsensusState(x=int(input_value))
 
@@ -65,7 +46,7 @@ def cons_emit(state):
 def cons_step(state, r, received, predicate, d_bound, reset_lock_round=False):
     """One round-r computation step.
 
-    `received` is a list of (sender, LockMessage|DecideMessage); `predicate`
+    `received` is a list of LockMessage|DecideMessage; `predicate`
     is a callable interval -> bool evaluating the co-located approximation
     state's stable-root predicate (already absorbed for round r).
 
@@ -77,7 +58,7 @@ def cons_step(state, r, received, predicate, d_bound, reset_lock_round=False):
 
     events = []
     decide_values = sorted(
-        m.x for _, m in received if isinstance(m, DecideMessage)
+        m.x for m in received if isinstance(m, DecideMessage)
     )
     if decide_values:
         if decide_values[0] != decide_values[-1]:
@@ -92,7 +73,7 @@ def cons_step(state, r, received, predicate, d_bound, reset_lock_round=False):
         )
 
     best = (state.lock_round, state.x)
-    for _, m in received:
+    for m in received:
         if isinstance(m, LockMessage):
             pair = (m.lock_round, m.x)
             if pair > best:

@@ -41,11 +41,13 @@ def scenario_digest(sc):
 
 @dataclass
 class RoundRecord:
+    """What only the engine knows about a round.  Deliveries follow from the
+    round graph and state digests from `Trace.approx_states`; `trace_save`
+    derives both."""
+
     round: int
-    delivered: dict  # receiver -> sorted list of sender ids
     events: dict  # process -> list of event dicts
     predicate_evals: dict  # process -> {interval: bool}
-    state_digests: dict  # process -> approx digest
 
 
 @dataclass
@@ -73,9 +75,10 @@ class CheckerVerdict:
 def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
     """Simulate the scenario round by round and record a full trace.
 
-    Every process emits a packed (approximation snapshot, consensus message)
-    at the start of each round; delivery follows the round graph exactly;
-    absorb then cons_step run per process.  Deciders keep emitting DECIDE.
+    At the start of each round every process emits an approximation snapshot
+    and a consensus message; each receiver gets those of its in-neighbours in
+    the round graph, in ascending sender order; absorb then cons_step run per
+    process.  Deciders keep emitting DECIDE.
     """
     n = scenario.n
     d = scenario.d_bound
@@ -90,22 +93,16 @@ def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
     trace = Trace(scenario=scenario, pruned=prune)
 
     for r in range(1, horizon + 1):
-        g = scenario.seq.round(r)
-        emitted = [
-            cs.pack(ap.approx_emit(approx[p]), cs.cons_emit(cons[p]))
-            for p in range(n)
-        ]
-        in_masks = g.in_masks()
-        delivered = {
-            q: [(p, emitted[p]) for p in _bits(in_masks[q])] for q in range(n)
-        }
+        in_masks = scenario.seq.round(r).in_masks()
+        snapshots = [ap.approx_emit(st) for st in approx]
+        messages = [cs.cons_emit(st) for st in cons]
 
         events = {}
         evals = {}
         for p in range(n):
-            inbox = delivered[p]
+            senders = list(_bits(in_masks[p]))
             approx[p] = ap.approx_absorb(
-                approx[p], r, [m.approx for _, m in inbox]
+                approx[p], r, [snapshots[u] for u in senders]
             )
             state = approx[p]
             log = {}
@@ -118,7 +115,7 @@ def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
             cons[p], evs = cs.cons_step(
                 cons[p],
                 r,
-                [(s, m.cons) for s, m in inbox],
+                [messages[u] for u in senders],
                 predicate,
                 d,
                 reset_lock_round=reset_lock_round,
@@ -136,13 +133,7 @@ def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
                 approx = [ap.approx_prune(st, keep_after) for st in approx]
 
         trace.records.append(
-            RoundRecord(
-                round=r,
-                delivered={q: [p for p, _ in delivered[q]] for q in range(n)},
-                events=events,
-                predicate_evals=evals,
-                state_digests={p: approx_digest(approx[p]) for p in range(n)},
-            )
+            RoundRecord(round=r, events=events, predicate_evals=evals)
         )
         trace.approx_states.append(list(approx))
         trace.cons_states.append(list(cons))
@@ -152,7 +143,10 @@ def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
 
 def trace_save(trace, path):
     """JSON-lines: header, one record per round, footer with decisions and
-    verdicts.  Canonical key order for byte-reproducibility."""
+    verdicts.  Canonical key order for byte-reproducibility.
+
+    A round line's `delivered` (each receiver's ascending senders) comes from
+    the round graph and its `approx` digests from the recorded states."""
     sc = trace.scenario
     with open(path, "w") as fh:
         header = {
@@ -163,16 +157,23 @@ def trace_save(trace, path):
             "pruned": trace.pruned,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec, states in zip(trace.records, trace.cons_states):
+        for rec, approx, states in zip(
+            trace.records, trace.approx_states, trace.cons_states
+        ):
+            in_masks = sc.seq.round(rec.round).in_masks()
             line = {
                 "round": rec.round,
-                "delivered": {str(q): s for q, s in rec.delivered.items()},
+                "delivered": {
+                    str(q): list(_bits(mask)) for q, mask in enumerate(in_masks)
+                },
                 "events": {str(p): e for p, e in rec.events.items()},
                 "predicates": {
                     str(p): {f"[{a},{b}]": v for (a, b), v in log.items()}
                     for p, log in rec.predicate_evals.items()
                 },
-                "approx": {str(p): d for p, d in rec.state_digests.items()},
+                "approx": {
+                    str(p): approx_digest(st) for p, st in enumerate(approx)
+                },
                 "cons": {
                     str(p): {
                         "x": st.x,

@@ -178,6 +178,17 @@ class TestScenarioFormat:
             assert loaded.seq == sc.seq
             assert loaded.meta["generator"] == sc.meta["generator"]
 
+    def test_round_trip_keeps_every_meta_key(self, tmp_path):
+        cfg = ExpanderConfig(n=16, root_size=4, degree=4)
+        for key, sc in (
+            ("kappa", gen_reversing_line(4, 5, 12)),
+            ("measured_diameter", gen_expander(cfg, seed=1, horizon=12)),
+        ):
+            path = tmp_path / f"{key}.json"
+            scenario_save(sc, path)
+            meta = scenario_load(path).meta
+            assert key in meta and meta == sc.meta
+
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dynconsensus.cli import main
@@ -34,6 +36,9 @@ def test_run_two_roots_fails_agreement(tmp_path, capsys):
     assert code == 1
     assert "agreement: fail" in out
     assert "RESULT: FAIL" in out
+    line = next(l for l in out.splitlines() if l.startswith("agreement: fail"))
+    witness = json.loads(line.split(" witness=", 1)[1])
+    assert len(witness["values"]) == 2
 
 
 def test_missing_scenario_is_usage_error(tmp_path, capsys):
@@ -138,6 +143,35 @@ def test_batch_and_report(tmp_path, capsys):
     assert main(["report", str(csv1), "--out", str(merged)]) == 0
     capsys.readouterr()
     assert len(merged.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gen", "stable_window"],
+    ["--gen", "rotating_roots", "--horizon", "15"],
+    ["--gen", "static_line", "--horizon", "12"],
+    ["--gen", "static_star", "--horizon", "12"],
+    ["--gen", "reversing_line", "--horizon", "12"],
+    ["--gen", "two_roots", "--horizon", "12"],
+    ["--gen", "complete_then_rings"],
+    ["--gen", "short_window", "--n", "6", "--horizon", "12"],
+    ["--gen", "expander", "--n", "16", "--root-size", "4", "--horizon", "12"],
+], ids=lambda flags: flags[1])
+def test_batch_every_generator(flags, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code = main(["batch"] + flags + ["--count", "2", "--full",
+                                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert len(out.read_text().splitlines()) == 1 + 2
+
+
+def test_batch_needs_horizon(tmp_path, capsys):
+    code = main(["batch", "--gen", "rotating_roots", "--count", "2",
+                 "--out", str(tmp_path / "report.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "needs --horizon" in err and "Traceback" not in err
 
 
 def test_identical_invocations_identical_bytes(tmp_path, capsys):

@@ -2,12 +2,9 @@ from dynconsensus import (
     ConsensusState,
     DecideMessage,
     LockMessage,
-    approx_emit,
-    approx_init,
     cons_emit,
     cons_init,
     cons_step,
-    pack,
 )
 
 
@@ -33,20 +30,20 @@ def test_emit_lock_vs_decide():
 
 def test_decided_state_is_absorbing():
     state = ConsensusState(x=5, decided=True, decision=(5, 4))
-    new, events = cons_step(state, 6, [(1, DecideMessage(x=9))], always, 2)
+    new, events = cons_step(state, 6, [DecideMessage(x=9)], always, 2)
     assert new == state and events == []
 
 
 def test_decide_adoption():
     state = cons_init(1)
-    new, events = cons_step(state, 7, [(2, DecideMessage(x=4))], never, 2)
+    new, events = cons_step(state, 7, [DecideMessage(x=4)], never, 2)
     assert new.decided and new.x == 4 and new.decision == (4, 7)
     assert [e["kind"] for e in events] == ["decide"]
 
 
 def test_conflicting_decides_take_max_and_flag():
     state = cons_init(1)
-    received = [(1, DecideMessage(x=4)), (2, DecideMessage(x=9))]
+    received = [DecideMessage(x=4), DecideMessage(x=9)]
     new, events = cons_step(state, 5, received, never, 2)
     assert new.x == 9 and new.decided
     kinds = [e["kind"] for e in events]
@@ -56,8 +53,8 @@ def test_conflicting_decides_take_max_and_flag():
 def test_lexicographic_max_update():
     state = ConsensusState(x=5, lock_round=2)
     received = [
-        (1, LockMessage(lock_round=2, x=7)),
-        (2, LockMessage(lock_round=1, x=99)),  # lockRound dominates
+        LockMessage(lock_round=2, x=7),
+        LockMessage(lock_round=1, x=99),  # lockRound dominates
     ]
     new, _ = cons_step(state, 3, received, never, 1)
     assert (new.lock_round, new.x) == (2, 7)
@@ -107,9 +104,3 @@ def test_unlock_with_reset_lock_round_compat_flag():
     new, _ = cons_step(state, 9, [], never, 2, reset_lock_round=True)
     assert not new.locked and new.lock_round == 0
 
-
-def test_pack_round_trip():
-    for p, x in ((0, 5), (1, -3), (2, 0)):
-        a = approx_emit(approx_init(p))
-        c = LockMessage(lock_round=p, x=x)
-        assert pack(a, c).sender == p

@@ -24,7 +24,7 @@ from dynconsensus import (
     summarize,
     trace_save,
 )
-from dynconsensus import graphs
+from dynconsensus import graphs, harness
 from dynconsensus.harness import REPORT_COLUMNS
 
 
@@ -73,12 +73,21 @@ class TestRun:
         assert trace.decisions == {0: (9, 5)}
 
     def test_delivery_matches_round_graph(self):
-        sc = gen_stable_window(seed=2, n=5, d_bound=2, r_st=3)
-        trace = run(sc)
-        for rec in trace.records:
-            g = sc.seq.round(rec.round)
-            for q in range(sc.n):
-                assert rec.delivered[q] == sorted(g.in_neighbors(q))
+        # Only direct receipt puts label r on an edge in round r, so each
+        # round-r state names exactly the senders q heard from.
+        for sc in (
+            gen_stable_window(seed=2, n=5, d_bound=2, r_st=3),
+            gen_rotating_roots(seed=3, n=6, d_bound=2, horizon=15),
+        ):
+            trace = run(sc)
+            for r in range(1, sc.horizon + 1):
+                g = sc.seq.round(r)
+                for q in range(sc.n):
+                    state = trace.approx_states[r - 1][q]
+                    heard = {
+                        u for u in range(sc.n) if r in state.labels((u, q))
+                    }
+                    assert heard == g.in_neighbors(q)
 
     def test_deciders_keep_flooding(self):
         # After everyone decides, states stay frozen to the end of the run.
@@ -324,3 +333,19 @@ def test_batch_decomposes_each_round_once(monkeypatch):
     rows, _ = batch([sc], full=True)
     assert rows[0]["approx"] == rows[0]["lock"] == "pass"
     assert len(calls) == sc.horizon
+
+
+def test_state_digests_are_computed_at_save(monkeypatch, tmp_path):
+    calls = []
+    real = harness.approx_digest
+
+    def counted(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(harness, "approx_digest", counted)
+    sc = gen_stable_window(seed=7, n=6, d_bound=2, r_st=3)
+    _, traces = batch([sc], full=True)
+    assert calls == []
+    trace_save(traces[0], tmp_path / "trace.jsonl")
+    assert len(calls) == sc.n * sc.horizon
