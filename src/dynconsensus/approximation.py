@@ -1,14 +1,17 @@
 """Per-process network approximation: the labeled digraph A_p.
 
-Edge labels are sets of round numbers, stored as int bitmasks (bit r set
-means the edge was present in round r).  States are immutable values; every
-operation returns a fresh state, so states can be snapshotted into messages
-by reference.
+A_p is stored by round slice: bit `_pair(u, v)` of the int `slices[s]` is
+set iff edge u -> v carries label s.  `_pair` is Szudzik's pairing, so no
+bound on the vertex ids is needed; shell k, bits k*k .. k*k + 2k, holds the
+edges whose larger endpoint is k.  Merging is one OR per slice, pruning
+drops keys, and cutting a slice is one lookup.  States are immutable values,
+so they can be snapshotted into messages by reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .graphs import _bits
 
@@ -17,38 +20,104 @@ class MalformedMessageError(ValueError):
     """A received approximation snapshot violates its structural invariants."""
 
 
+def _pair(u, v):
+    return v * v + u if u < v else u * u + u + v
+
+
+def _decode(bits):
+    """The edges (u, v) whose pair bits are set in `bits`, in bit order."""
+    edges = []
+    while bits:
+        low = bits & -bits
+        z = low.bit_length() - 1
+        m = isqrt(z)
+        t = z - m * m
+        edges.append((t, m) if t < m else (m, t - m))
+        bits ^= low
+    return edges
+
+
+def _allowed_mask(vertices):
+    """Bits of every edge u -> v, u != v, within `vertices`: in shell m,
+    u -> m sits at m*m + u and m -> u at m*m + m + u, for u < m."""
+    vmask = sum(1 << v for v in vertices)
+    allowed = 0
+    for m in vertices:
+        low = vmask & ((1 << m) - 1)
+        allowed |= low << m * m | low << m * m + m
+    return allowed
+
+
 class ApproxState:
     """Process p's approximation digraph: vertices, labeled edges, owner.
 
-    _comp_cache memoizes detected components per round slice; it is derived
-    data, carried across absorb calls for slices whose labels did not change,
-    and excluded from equality.
+    `slices` maps round s to the int of its edge bits; no value is 0.
+    `edges` ({(u, v): label mask}), `labels` and `sorted_edges` are derived
+    read-only views.  Derived data, excluded from equality: `_memo` maps a
+    slice value to its detected component for one process's lineage of
+    states (`approx_init` or `from_edges` creates it, absorb and prune hand
+    it on; the owner is fixed along it), and `_allowed` caches
+    `_allowed_mask(vertices)` for the receivers of this state's snapshot.
     """
 
-    __slots__ = ("owner", "vertices", "edges", "pruned_before", "_comp_cache")
+    __slots__ = ("owner", "vertices", "slices", "pruned_before", "_memo",
+                 "_allowed")
 
-    def __init__(self, owner, vertices, edges, pruned_before=0, _cache=None):
+    def __init__(self, owner, vertices, slices, pruned_before=0, _memo=None):
         self.owner = owner
         self.vertices = frozenset(vertices)
-        self.edges = edges  # dict (from, to) -> label bitmask
+        self.slices = slices
         self.pruned_before = pruned_before
-        self._comp_cache = {} if _cache is None else _cache
+        self._memo = {} if _memo is None else _memo
+        self._allowed = None
+
+    @classmethod
+    def from_edges(cls, owner, vertices, edges, pruned_before=0):
+        """A state from an edge dict {(u, v): label mask}."""
+        slices = {}
+        for (u, v), mask in edges.items():
+            if mask <= 0 or min(u, v) < 0:
+                raise ValueError(f"edge {u}->{v}: negative id or no label")
+            for s in _bits(mask):
+                slices[s] = slices.get(s, 0) | 1 << _pair(u, v)
+        return cls(owner, vertices, slices, pruned_before)
+
+    def _label_lists(self):
+        """The one transposition pass: edge -> its labels, ascending."""
+        lists = {}
+        for s in sorted(self.slices):
+            bits = bin(self.slices[s])[:1:-1]  # bits[b] is bit b
+            b = bits.find("1")
+            while b >= 0:
+                lists.setdefault(b, []).append(s)
+                b = bits.find("1", b + 1)
+        edges = {}
+        for b, labels in lists.items():  # unpair b as `_decode` does
+            m = isqrt(b)
+            t = b - m * m
+            edges[(t, m) if t < m else (m, t - m)] = labels
+        return edges
+
+    @property
+    def edges(self):
+        return {e: sum(1 << s for s in labels)
+                for e, labels in self._label_lists().items()}
 
     def labels(self, edge):
         """The label set of an edge as a sorted tuple of rounds."""
-        return tuple(_bits(self.edges.get(edge, 0)))
+        b = _pair(*edge)
+        return tuple(sorted(s for s, m in self.slices.items() if m >> b & 1))
 
     def sorted_edges(self):
-        return sorted(
-            (u, v, tuple(_bits(m))) for (u, v), m in self.edges.items()
-        )
+        return sorted((u, v, tuple(labels))
+                      for (u, v), labels in self._label_lists().items())
 
     def __eq__(self, other):
         return (
             isinstance(other, ApproxState)
             and self.owner == other.owner
             and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self.slices == other.slices
             and self.pruned_before == other.pruned_before
         )
 
@@ -69,7 +138,7 @@ class ApproxMessage:
 
 def approx_init(p):
     """Fresh state: the singleton graph ({p}, no edges)."""
-    return ApproxState(owner=p, vertices=(p,), edges={})
+    return ApproxState(owner=p, vertices=(p,), slices={})
 
 
 def approx_emit(state):
@@ -81,59 +150,43 @@ def _validate_snapshot(msg, r):
     g = msg.graph
     if msg.sender != g.owner or g.owner not in g.vertices:
         raise MalformedMessageError(f"snapshot owner mismatch from {msg.sender}")
-    for (u, v), mask in g.edges.items():
-        if u == v:
-            raise MalformedMessageError(f"self-loop {u}->{v} from {msg.sender}")
-        if u not in g.vertices or v not in g.vertices:
-            raise MalformedMessageError(
-                f"edge {u}->{v} with unknown endpoint from {msg.sender}"
-            )
-        if mask <= 0 or mask >> r:
-            raise MalformedMessageError(
-                f"edge {u}->{v} carries labels outside [1, {r - 1}]"
-            )
+    if min(g.slices, default=1) < 1 or max(g.slices, default=0) >= r:
+        raise MalformedMessageError(
+            f"snapshot from {msg.sender} carries labels outside [1, {r - 1}]")
+    if g._allowed is None:
+        g._allowed = _allowed_mask(g.vertices)
+    for m in g.slices.values():
+        bad = m & ~g._allowed
+        if bad:
+            (u, v), = _decode(bad & -bad)
+            kind = "self-loop" if u == v else "unknown endpoint in"
+            raise MalformedMessageError(f"{kind} {u}->{v} from {msg.sender}")
 
 
 def approx_absorb(state, r, received):
     """Round-r update: record direct in-edges with label r, then take the
     label-set union with every received snapshot.  Monotone: nothing is
     ever removed."""
+    if not received:
+        return state
     for msg in received:
         _validate_snapshot(msg, r)
 
-    vertices = set(state.vertices)
-    edges = dict(state.edges)
-    changed = 0
-    bit_r = 1 << r
+    vertices = state.vertices
+    slices = dict(state.slices)
+    direct = 0
     for msg in received:
-        q = msg.sender
-        e = (q, state.owner)
-        old = edges.get(e, 0)
-        if not old & bit_r:
-            edges[e] = old | bit_r
-            changed |= bit_r
-        vertices |= msg.graph.vertices
-        for e, mask in msg.graph.edges.items():
-            old = edges.get(e, 0)
-            add = mask & ~old
-            if add:
-                edges[e] = old | mask
-                changed |= add
-
-    if not received:
-        return state
-    cache = {
-        s: comp
-        for s, comp in state._comp_cache.items()
-        if not (changed >> s) & 1
-    }
-    return ApproxState(
-        owner=state.owner,
-        vertices=vertices,
-        edges=edges,
-        pruned_before=state.pruned_before,
-        _cache=cache,
-    )
+        g = msg.graph
+        direct |= 1 << _pair(msg.sender, state.owner)
+        if not g.vertices <= vertices:
+            vertices = vertices | g.vertices
+        for s, m in g.slices.items():
+            old = slices.get(s, 0)
+            if old | m != old:  # an unchanged slice keeps its shared int
+                slices[s] = old | m
+    slices[r] = slices.get(r, 0) | direct
+    return ApproxState(state.owner, vertices, slices, state.pruned_before,
+                       state._memo)
 
 
 def approx_restrict(state, s):
@@ -143,38 +196,38 @@ def approx_restrict(state, s):
     """
     if s < 1:
         raise ValueError("rounds are 1-based")
-    edges = frozenset(
-        e for e, mask in state.edges.items() if (mask >> s) & 1
-    )
-    vertices = {state.owner}
-    for u, v in edges:
-        vertices.add(u)
-        vertices.add(v)
-    return frozenset(vertices), edges
+    edges = frozenset(_decode(state.slices.get(s, 0)))
+    return frozenset((state.owner,)).union(*edges), edges
 
 
-def _strongly_connected(vertices, edges):
-    """True iff the digraph on `vertices` is strongly connected; a single
-    vertex with no edges counts as strongly connected."""
-    if len(vertices) == 1:
-        return not edges
-    fwd = {}
-    bwd = {}
-    for u, v in edges:
-        fwd.setdefault(u, []).append(v)
-        bwd.setdefault(v, []).append(u)
-    start = next(iter(vertices))
-    for adj in (fwd, bwd):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj.get(stack.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vertices:
-            return False
-    return True
+def _component(owner, m):
+    """The vertex set of the slice with edge bits m, plus `owner`, if it is
+    strongly connected, else empty; a single vertex with no edges counts as
+    strongly connected.  Shell k yields `into[k]`, the senders u < k of
+    edges u -> k, and `out_of[k]`, the receivers u < k of edges k -> u."""
+    into, out_of = [], []
+    vmask = 1 << owner
+    for k in range(isqrt(m.bit_length()) + 1):
+        shell = m >> k * k & ((2 << 2 * k) - 1)
+        into.append(shell & ((1 << k) - 1))
+        out_of.append(shell >> k & ((1 << k) - 1))
+        if shell:
+            vmask |= 1 << k | into[k] | out_of[k]
+    if vmask == 1 << owner:  # no edge, or only a self-loop at the owner
+        return frozenset() if m else frozenset((owner,))
+    # Forward reach from the owner, then backward reach to it.
+    for down, up in ((out_of, into), (into, out_of)):
+        seen, last = 1 << owner, 0
+        while seen != last:
+            last = seen
+            for k in range(len(into)):
+                if seen >> k & 1:
+                    seen |= down[k]
+                elif up[k] & seen:
+                    seen |= 1 << k
+        if seen != vmask:
+            return frozenset()
+    return frozenset(_bits(vmask))
 
 
 def detected_component(state, s):
@@ -186,12 +239,10 @@ def detected_component(state, s):
         raise ValueError("rounds are 1-based")
     if s < state.pruned_before:
         return frozenset()
-    cached = state._comp_cache.get(s)
-    if cached is not None:
-        return cached
-    vertices, edges = approx_restrict(state, s)
-    comp = vertices if _strongly_connected(vertices, edges) else frozenset()
-    state._comp_cache[s] = comp
+    m = state.slices.get(s, 0)
+    comp = state._memo.get(m)
+    if comp is None:
+        comp = state._memo[m] = _component(state.owner, m)
     return comp
 
 
@@ -220,17 +271,6 @@ def approx_prune(state, keep_after):
         raise ValueError("keep_after must be >= 0")
     if keep_after <= state.pruned_before:
         return state
-    keep_mask = ~((1 << keep_after) - 1)
-    edges = {}
-    for e, mask in state.edges.items():
-        kept = mask & keep_mask
-        if kept:
-            edges[e] = kept
-    cache = {s: c for s, c in state._comp_cache.items() if s >= keep_after}
-    return ApproxState(
-        owner=state.owner,
-        vertices=state.vertices,
-        edges=edges,
-        pruned_before=keep_after,
-        _cache=cache,
-    )
+    slices = {s: m for s, m in state.slices.items() if s >= keep_after}
+    return ApproxState(state.owner, state.vertices, slices, keep_after,
+                       state._memo)

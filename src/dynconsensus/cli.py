@@ -1,7 +1,8 @@
 """Command-line interface: generate scenarios, run + check them, query the
 oracle, and drive seeded batches.
 
-Exit codes: 0 success, 1 checker failure, 2 usage / parse / infeasible.
+Exit codes: 0 success, 1 checker failure, 2 usage / parse / infeasible /
+file I/O.
 All output is stable for fixed inputs (no timestamps, sorted keys).
 """
 
@@ -95,11 +96,7 @@ def cmd_generate(args):
     except ValueError as exc:  # InfeasibleError, or a value Scenario rejects
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        adv.scenario_save(sc, args.out)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    adv.scenario_save(sc, args.out)
     _print_validation(sc)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -181,12 +178,8 @@ def cmd_report(args):
 
     rows = []
     for path in args.inputs:
-        try:
-            with open(path, newline="") as fh:
-                rows.extend(csv.DictReader(fh))
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with open(path, newline="") as fh:
+            rows.extend(csv.DictReader(fh))
     rows.sort(key=lambda row: (str(row.get("generator")),
                                str(row.get("seed"))))
     harness.report_csv(
@@ -263,7 +256,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # reading or writing a file the user named
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

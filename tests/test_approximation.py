@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynconsensus import (
+    ApproxMessage,
     ApproxState,
     MalformedMessageError,
     approx_absorb,
@@ -45,8 +46,10 @@ def test_absorb_empty_inbox_is_identity():
 
 def test_merge_takes_label_union():
     # p already knows (2 -> 3) from round 1; q's snapshot says round 2 too.
-    p = ApproxState(owner=0, vertices={0, 2, 3}, edges={(2, 3): 1 << 1})
-    q = ApproxState(owner=1, vertices={1, 2, 3}, edges={(2, 3): 1 << 2})
+    p = ApproxState.from_edges(
+        owner=0, vertices={0, 2, 3}, edges={(2, 3): 1 << 1})
+    q = ApproxState.from_edges(
+        owner=1, vertices={1, 2, 3}, edges={(2, 3): 1 << 2})
     merged = approx_absorb(p, 3, [approx_emit(q)])
     assert merged.labels((2, 3)) == (1, 2)
     assert merged.labels((1, 0)) == (3,)
@@ -63,21 +66,25 @@ def test_absorb_is_monotone():
 
 
 def test_malformed_snapshots_rejected():
-    bad_loop = ApproxState(owner=1, vertices={1}, edges={(1, 1): 1})
-    with pytest.raises(MalformedMessageError):
-        approx_absorb(approx_init(0), 2, [approx_emit(bad_loop)])
+    def snapshot(vertices, edges):
+        return approx_emit(ApproxState.from_edges(1, vertices, edges))
 
-    future = ApproxState(owner=1, vertices={0, 1}, edges={(0, 1): 1 << 5})
-    with pytest.raises(MalformedMessageError):
-        approx_absorb(approx_init(0), 2, [approx_emit(future)])
-
-    stray = ApproxState(owner=1, vertices={1, 2}, edges={(2, 3): 1 << 1})
-    with pytest.raises(MalformedMessageError):
-        approx_absorb(approx_init(0), 2, [approx_emit(stray)])
+    # One case per validation rule, each breaking that rule alone.
+    cases = [
+        (ApproxMessage(sender=2, graph=approx_init(1)), "owner mismatch"),
+        (snapshot({1}, {(1, 1): 1 << 1}), "self-loop"),
+        (snapshot({1, 2}, {(2, 3): 1 << 1}), "unknown endpoint"),
+        (snapshot({0, 1}, {(0, 1): 1 << 5}), "outside"),  # future label
+        (snapshot({0, 1}, {(0, 1): 1}), "outside"),  # label 0
+    ]
+    for msg, rule in cases:
+        with pytest.raises(MalformedMessageError, match=rule):
+            approx_absorb(approx_init(0), 2, [msg])
 
 
 def test_restrict_filters_by_label():
-    state = ApproxState(owner=0, vertices={0, 1}, edges={(1, 0): (1 << 1) | (1 << 3)})
+    state = ApproxState.from_edges(
+        owner=0, vertices={0, 1}, edges={(1, 0): (1 << 1) | (1 << 3)})
     vertices, edges = approx_restrict(state, 2)
     assert vertices == {0} and edges == frozenset()
     vertices, edges = approx_restrict(state, 3)
@@ -90,9 +97,10 @@ def test_detected_component_singleton_rule():
 
 
 def test_detected_component_requires_strong_connectivity():
-    path = ApproxState(owner=0, vertices={0, 1}, edges={(1, 0): 1 << 1})
+    path = ApproxState.from_edges(
+        owner=0, vertices={0, 1}, edges={(1, 0): 1 << 1})
     assert detected_component(path, 1) == frozenset()
-    cyc = ApproxState(
+    cyc = ApproxState.from_edges(
         owner=0,
         vertices={0, 1},
         edges={(1, 0): 1 << 1, (0, 1): 1 << 1},
@@ -109,7 +117,7 @@ def test_in_stable_root_round_bounds():
 
 
 def test_in_stable_root_requires_equal_components():
-    state = ApproxState(
+    state = ApproxState.from_edges(
         owner=0,
         vertices={0, 1},
         edges={(1, 0): 1 << 2},  # slice 2 is a path -> empty detection
@@ -134,7 +142,8 @@ def test_absorb_union_is_commutative_and_monotone(items):
             if u != v:
                 edges[(u, v)] = edges.get((u, v), 0) | (1 << r)
         vertices = {owner} | {x for e in edges for x in e}
-        return ApproxState(owner=owner, vertices=vertices, edges=edges)
+        return ApproxState.from_edges(
+            owner=owner, vertices=vertices, edges=edges)
 
     a = approx_emit(snapshot(1, items[: len(items) // 2]))
     b = approx_emit(snapshot(2, items[len(items) // 2:]))
@@ -147,7 +156,7 @@ def test_absorb_union_is_commutative_and_monotone(items):
 
 
 def test_prune_drops_old_labels():
-    state = ApproxState(
+    state = ApproxState.from_edges(
         owner=0,
         vertices={0, 1, 2},
         edges={(1, 0): (1 << 1) | (1 << 5), (2, 0): 1 << 2},
@@ -159,3 +168,84 @@ def test_prune_drops_old_labels():
     # Slices below the cutoff report no data, not a spurious singleton.
     assert detected_component(pruned, 2) == frozenset()
     assert approx_prune(state, 0) == state
+
+
+def _strongly_connected(vertices, edges):
+    """Set-based reference: True iff the digraph on `vertices` is strongly
+    connected; a single vertex with no edges counts as strongly connected."""
+    if len(vertices) == 1:
+        return not edges
+    fwd = {}
+    bwd = {}
+    for u, v in edges:
+        fwd.setdefault(u, []).append(v)
+        bwd.setdefault(v, []).append(u)
+    start = next(iter(vertices))
+    for adj in (fwd, bwd):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adj.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != vertices:
+            return False
+    return True
+
+
+@st.composite
+def snapshot_sets(draw):
+    """(n, r, owner state, received snapshots, edge dict of each state):
+    every state is a random edge dict over n <= 6 vertices with labels in
+    [1, r - 1], r <= 8; the senders are distinct and differ from the owner."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(2, 8))
+    owner = draw(st.integers(0, n - 1))
+
+    def state(p):
+        edges = draw(st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]),
+            st.integers(1, (1 << (r - 1)) - 1).map(lambda m: m << 1),
+            max_size=n * (n - 1),
+        ))
+        vertices = {p} | {x for e in edges for x in e}
+        return ApproxState.from_edges(p, vertices, edges), edges
+
+    senders = draw(st.lists(
+        st.integers(0, n - 1).filter(lambda q: q != owner), unique=True))
+    own, own_edges = state(owner)
+    snaps = [state(q) for q in senders]
+    return n, r, own, [approx_emit(s) for s, _ in snaps], [own_edges] + [
+        e for _, e in snaps]
+
+
+@given(snapshot_sets())
+def test_slice_layout_matches_edge_reference(case):
+    n, r, state, received, edge_dicts = case
+    for graph, edges in zip([state] + [m.graph for m in received], edge_dicts):
+        assert graph.edges == edges
+        rebuilt = ApproxState.from_edges(graph.owner, graph.vertices, edges)
+        assert rebuilt == graph
+
+    merged = approx_absorb(state, r, received)
+    expected = {}
+    for edges in edge_dicts:
+        for e, mask in edges.items():
+            expected[e] = expected.get(e, 0) | mask
+    for msg in received:
+        e = (msg.sender, state.owner)
+        expected[e] = expected.get(e, 0) | 1 << r
+    assert merged.edges == expected
+
+    for s in range(1, r + 1):
+        vertices, edges = approx_restrict(merged, s)
+        connected = _strongly_connected(vertices, edges)
+        assert detected_component(merged, s) == (
+            vertices if connected else frozenset())
+
+    for cutoff in range(r + 2):
+        pruned = approx_prune(merged, cutoff)
+        kept = {e: m >> cutoff << cutoff for e, m in expected.items()}
+        assert pruned.edges == {e: m for e, m in kept.items() if m}

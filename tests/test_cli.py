@@ -174,6 +174,25 @@ def test_batch_needs_horizon(tmp_path, capsys):
     assert "needs --horizon" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["batch", "--gen", "stable_window", "--count", "1",
+     "--out", "missing/x.csv"],
+    ["report", "in.csv", "--out", "missing/x.csv"],
+    ["run", "--scenario", "sc.json", "--trace", "missing/t.jsonl"],
+], ids=lambda argv: argv[0])
+def test_write_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--gen", "static_star", "--horizon", "8",
+                 "--out", "sc.json"]) == 0
+    assert main(["batch", "--gen", "stable_window", "--count", "1",
+                 "--out", "in.csv"]) == 0
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("io error:") and "Traceback" not in err
+
+
 def test_identical_invocations_identical_bytes(tmp_path, capsys):
     outs = []
     for name in ("x", "y"):

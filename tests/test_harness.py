@@ -188,12 +188,54 @@ class TestCheckers:
         state = trace.approx_states[5][0]
         forged = dict(state.edges)
         forged[(2, 1)] = 1 << 3  # (2 -> 1) never exists in the 3-cycle
-        trace.approx_states[5][0] = ApproxState(
+        trace.approx_states[5][0] = ApproxState.from_edges(
             owner=0, vertices=state.vertices | {2, 1}, edges=forged
         )
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness["rule"] in ("subset", "in_neighborhood")
+
+    def test_approx_forged_vertex_beyond_n_fails_subset(self):
+        trace = run(three_cycle())
+        state = trace.approx_states[5][0]
+        forged = dict(state.edges)
+        forged[(2, 9)] = 1 << 4  # vertices 7 and 9 do not exist for n = 3
+        forged[(1, 7)] = 1 << 4
+        trace.approx_states[5][0] = ApproxState.from_edges(
+            owner=0, vertices=state.vertices | {7, 9}, edges=forged
+        )
+        verdict = check_approx_invariants(trace)
+        assert verdict.status == "fail"
+        assert verdict.witness == {
+            "rule": "subset", "process": 0, "round": 6, "slice": 4,
+            "edge": [1, 7],
+        }
+
+    def test_approx_in_neighborhood_names_smallest_missing_edge(self):
+        # Round graph: 1, 2, 3 -> 0 and 0 -> 1.  Process 0's own inbox is
+        # recorded directly, so the forged state keeps only (3 -> 0).
+        g = RoundGraph(4, [(1, 0), (2, 0), (3, 0), (0, 1)])
+        sc = Scenario(
+            n=4, d_bound=2, horizon=4, inputs=(1, 2, 3, 4),
+            seq=GraphSequence(4, [g] * 4),
+            meta={"generator": "manual", "seed": 0},
+        )
+        trace = run(sc)
+        state = trace.approx_states[2][0]
+        forged = dict(state.edges)
+        for e in ((1, 0), (2, 0)):
+            forged[e] &= ~(1 << 3)
+            if not forged[e]:
+                del forged[e]
+        trace.approx_states[2][0] = ApproxState.from_edges(
+            owner=0, vertices=state.vertices, edges=forged
+        )
+        verdict = check_approx_invariants(trace)
+        assert verdict.status == "fail"
+        assert verdict.witness == {
+            "rule": "in_neighborhood", "process": 0, "round": 3, "slice": 3,
+            "missing": [1, 0],
+        }
 
     def test_pruned_static_star_passes(self):
         # The engine keeps 4D+1 slices; the latency rule must not read
@@ -208,7 +250,7 @@ class TestCheckers:
         state = trace.approx_states[r - 1][0]
         forged = dict(state.edges)
         forged[(1, 2)] = 1 << t  # the star has no edge 1 -> 2
-        trace.approx_states[r - 1][0] = ApproxState(
+        trace.approx_states[r - 1][0] = ApproxState.from_edges(
             owner=0, vertices=state.vertices, edges=forged,
             pruned_before=state.pruned_before,
         )
