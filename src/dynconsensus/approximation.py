@@ -6,6 +6,12 @@ bound on the vertex ids is needed; shell k, bits k*k .. k*k + 2k, holds the
 edges whose larger endpoint is k.  Merging is one OR per slice, pruning
 drops keys, and cutting a slice is one lookup.  States are immutable values,
 so they can be snapshotted into messages by reference.
+
+Each process's states share one `_Lineage` handle of derived data: the
+detected-component memo and an edge transposition cursor.  Consecutive
+states differ in a few slices, so the cursor moves between states by
+diffing slices: an edge view costs the changed bits plus one pass over the
+edges, not a pass over every label bit.
 """
 
 from __future__ import annotations
@@ -24,15 +30,18 @@ def _pair(u, v):
     return v * v + u if u < v else u * u + u + v
 
 
+def _unpair(z):
+    m = isqrt(z)
+    t = z - m * m
+    return (t, m) if t < m else (m, t - m)
+
+
 def _decode(bits):
     """The edges (u, v) whose pair bits are set in `bits`, in bit order."""
     edges = []
     while bits:
         low = bits & -bits
-        z = low.bit_length() - 1
-        m = isqrt(z)
-        t = z - m * m
-        edges.append((t, m) if t < m else (m, t - m))
+        edges.append(_unpair(low.bit_length() - 1))
         bits ^= low
     return edges
 
@@ -48,27 +57,87 @@ def _allowed_mask(vertices):
     return allowed
 
 
+class _Lineage:
+    """Derived data shared by one process's states.  `memo` maps a slice
+    value to its detected component (the owner is fixed along a lineage).
+    The rest, made on the first edge view, is a cursor: the slice -> edge
+    transposition of the `slices` dict it last moved to, keyed by pair bit
+    b.  `masks[b]` is the edge's label mask, `frags[b]` its JSON fragment
+    "[u, v, [l1, ..., lk]]", `edge[b]` its (u, v), and `order` lists the
+    bits in (u, v) order."""
+
+    __slots__ = ("memo", "slices", "masks", "frags", "edge", "order")
+
+    def __init__(self):
+        self.memo = {}
+        self.slices = None
+
+    def move(self, slices):
+        """Diff `slices` against the held dict: XOR each changed slice's
+        bits into the edge masks, then re-render only the touched edges and
+        re-sort only when an edge appeared or disappeared."""
+        if self.slices is None:
+            self.slices, self.masks, self.frags, self.edge = {}, {}, {}, {}
+            self.order = []
+        if slices is self.slices:
+            return self
+        masks, held, touched = self.masks, self.slices, {}
+        flips = [(s, m ^ held.get(s, 0)) for s, m in slices.items()
+                 if m is not held.get(s)]  # absorb shares unchanged ints
+        flips += [(s, m) for s, m in held.items() if s not in slices]
+        for s, diff in flips:
+            label = 1 << s
+            bits = bin(diff)[:1:-1]  # bits[b] is bit b
+            b = bits.find("1")
+            while b >= 0:
+                old = masks.get(b, 0)
+                touched.setdefault(b, old)
+                masks[b] = old ^ label
+                b = bits.find("1", b + 1)
+        frags, edge, resort = self.frags, self.edge, False
+        for b, before in touched.items():
+            m = masks[b]
+            top = before.bit_length()
+            if not m:
+                del masks[b], frags[b]
+                resort = True
+            elif before and m & ((1 << top) - 1) == before:  # appended
+                added = ", ".join(map(str, _bits(m >> top << top)))
+                frags[b] = f"{frags[b][:-2]}, {added}]]"
+            else:
+                if not before:
+                    resort = True
+                    edge[b] = _unpair(b)
+                u, v = edge[b]
+                frags[b] = f"[{u}, {v}, [{', '.join(map(str, _bits(m)))}]]"
+        if resort:
+            self.order = sorted(masks, key=edge.__getitem__)
+        self.slices = slices
+        return self
+
+
 class ApproxState:
     """Process p's approximation digraph: vertices, labeled edges, owner.
 
     `slices` maps round s to the int of its edge bits; no value is 0.
-    `edges` ({(u, v): label mask}), `labels` and `sorted_edges` are derived
-    read-only views.  Derived data, excluded from equality: `_memo` maps a
-    slice value to its detected component for one process's lineage of
-    states (`approx_init` or `from_edges` creates it, absorb and prune hand
-    it on; the owner is fixed along it), and `_allowed` caches
+    `edges` ({(u, v): label mask}), `labels`, `sorted_edges` and
+    `edges_json` are derived read-only views.  Derived data, excluded from
+    equality: `_lineage`, one process's `_Lineage` (`approx_init` or
+    `from_edges` creates it, absorb and prune hand it on), whose cursor the
+    edge views move to this state; and `_allowed`, which caches
     `_allowed_mask(vertices)` for the receivers of this state's snapshot.
     """
 
-    __slots__ = ("owner", "vertices", "slices", "pruned_before", "_memo",
+    __slots__ = ("owner", "vertices", "slices", "pruned_before", "_lineage",
                  "_allowed")
 
-    def __init__(self, owner, vertices, slices, pruned_before=0, _memo=None):
+    def __init__(self, owner, vertices, slices, pruned_before=0,
+                 _lineage=None):
         self.owner = owner
         self.vertices = frozenset(vertices)
         self.slices = slices
         self.pruned_before = pruned_before
-        self._memo = {} if _memo is None else _memo
+        self._lineage = _Lineage() if _lineage is None else _lineage
         self._allowed = None
 
     @classmethod
@@ -82,26 +151,10 @@ class ApproxState:
                 slices[s] = slices.get(s, 0) | 1 << _pair(u, v)
         return cls(owner, vertices, slices, pruned_before)
 
-    def _label_lists(self):
-        """The one transposition pass: edge -> its labels, ascending."""
-        lists = {}
-        for s in sorted(self.slices):
-            bits = bin(self.slices[s])[:1:-1]  # bits[b] is bit b
-            b = bits.find("1")
-            while b >= 0:
-                lists.setdefault(b, []).append(s)
-                b = bits.find("1", b + 1)
-        edges = {}
-        for b, labels in lists.items():  # unpair b as `_decode` does
-            m = isqrt(b)
-            t = b - m * m
-            edges[(t, m) if t < m else (m, t - m)] = labels
-        return edges
-
     @property
     def edges(self):
-        return {e: sum(1 << s for s in labels)
-                for e, labels in self._label_lists().items()}
+        cur = self._lineage.move(self.slices)
+        return {cur.edge[b]: cur.masks[b] for b in cur.order}
 
     def labels(self, edge):
         """The label set of an edge as a sorted tuple of rounds."""
@@ -109,8 +162,13 @@ class ApproxState:
         return tuple(sorted(s for s, m in self.slices.items() if m >> b & 1))
 
     def sorted_edges(self):
-        return sorted((u, v, tuple(labels))
-                      for (u, v), labels in self._label_lists().items())
+        cur = self._lineage.move(self.slices)
+        return [(*cur.edge[b], tuple(_bits(cur.masks[b]))) for b in cur.order]
+
+    def edges_json(self):
+        """Exactly `json.dumps(self.sorted_edges())`."""
+        cur = self._lineage.move(self.slices)
+        return "[" + ", ".join([cur.frags[b] for b in cur.order]) + "]"
 
     def __eq__(self, other):
         return (
@@ -186,7 +244,7 @@ def approx_absorb(state, r, received):
                 slices[s] = old | m
     slices[r] = slices.get(r, 0) | direct
     return ApproxState(state.owner, vertices, slices, state.pruned_before,
-                       state._memo)
+                       state._lineage)
 
 
 def approx_restrict(state, s):
@@ -240,9 +298,10 @@ def detected_component(state, s):
     if s < state.pruned_before:
         return frozenset()
     m = state.slices.get(s, 0)
-    comp = state._memo.get(m)
+    memo = state._lineage.memo
+    comp = memo.get(m)
     if comp is None:
-        comp = state._memo[m] = _component(state.owner, m)
+        comp = memo[m] = _component(state.owner, m)
     return comp
 
 
@@ -273,4 +332,4 @@ def approx_prune(state, keep_after):
         return state
     slices = {s: m for s, m in state.slices.items() if s >= keep_after}
     return ApproxState(state.owner, state.vertices, slices, keep_after,
-                       state._memo)
+                       state._lineage)

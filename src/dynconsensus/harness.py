@@ -19,15 +19,13 @@ from .graphs import _bits
 
 
 def approx_digest(state):
-    """Stable hash of an approximation state for compact trace records."""
-    payload = json.dumps(
-        {
-            "owner": state.owner,
-            "vertices": sorted(state.vertices),
-            "edges": state.sorted_edges(),
-            "pruned_before": state.pruned_before,
-        },
-        sort_keys=True,
+    """Stable hash of an approximation state for compact trace records: the
+    canonical JSON {edges, owner, pruned_before, vertices}, keys sorted,
+    with the edges as sorted [u, v, [labels]]."""
+    payload = (
+        f'{{"edges": {state.edges_json()}, "owner": {state.owner}, '
+        f'"pruned_before": {state.pruned_before}, '
+        f'"vertices": {json.dumps(sorted(state.vertices))}}}'
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -275,8 +273,9 @@ def check_approx_invariants(trace):
             changed = [t for t, m in state.slices.items() if prev.get(t) != m]
             prev = state.slices
             for t in sorted(changed):
-                if t > r:
-                    return fail("label_from_future", process=p, round=r, slice=t)
+                if not 1 <= t <= r:
+                    rule = "label_from_future" if t > r else "label_out_of_range"
+                    return fail(rule, process=p, round=r, slice=t)
                 g = seq.round(t)
                 _, slice_edges = ap.approx_restrict(state, t)
                 forged = slice_edges - g.edges

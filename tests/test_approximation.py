@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +16,7 @@ from dynconsensus import (
     detected_component,
     in_stable_root,
 )
+from dynconsensus.harness import approx_digest
 
 
 def test_init_is_singleton():
@@ -249,3 +253,64 @@ def test_slice_layout_matches_edge_reference(case):
         pruned = approx_prune(merged, cutoff)
         kept = {e: m >> cutoff << cutoff for e, m in expected.items()}
         assert pruned.edges == {e: m for e, m in kept.items() if m}
+
+
+@st.composite
+def lineage_chains(draw):
+    """Every state of an engine-like run: n <= 6 processes absorb their
+    in-neighbours' snapshots over r <= 10 random round graphs, optionally
+    pruned to a random window after each round."""
+    n = draw(st.integers(1, 6))
+    horizon = draw(st.integers(1, 10))
+    window = draw(st.none() | st.integers(0, 4))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    states = [approx_init(p) for p in range(n)]
+    chain = list(states)
+    for r in range(1, horizon + 1):
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        snaps = [approx_emit(s) for s in states]
+        states = [approx_absorb(states[p], r,
+                                [snaps[u] for u in range(n) if (u, p) in edges])
+                  for p in range(n)]
+        if window is not None and r - window > 0:
+            states = [approx_prune(s, r - window) for s in states]
+        chain += states
+    return chain
+
+
+def _reference_edges(state):
+    """Set-based slice -> edge transposition: {(u, v): label mask}."""
+    edges = {}
+    for s in state.slices:
+        for e in approx_restrict(state, s)[1]:
+            edges[e] = edges.get(e, 0) | 1 << s
+    return edges
+
+
+@given(lineage_chains(), st.data())
+def test_lineage_cursor_matches_reference(chain, data):
+    # Read the states in random order, with repeats: each lineage's cursor
+    # must diff from whatever state it holds.
+    order = data.draw(st.lists(st.integers(0, len(chain) - 1),
+                               max_size=3 * len(chain)))
+    for i in order + list(range(len(chain))):
+        state = chain[i]
+        edges = _reference_edges(state)
+        ref = sorted(
+            (u, v, tuple(s for s in range(m.bit_length()) if m >> s & 1))
+            for (u, v), m in edges.items()
+        )
+        assert state.edges == edges
+        assert state.sorted_edges() == ref
+        assert state.edges_json() == json.dumps(ref)
+        payload = json.dumps(
+            {
+                "owner": state.owner,
+                "vertices": sorted(state.vertices),
+                "edges": ref,
+                "pruned_before": state.pruned_before,
+            },
+            sort_keys=True,
+        )
+        assert approx_digest(state) == (
+            hashlib.sha256(payload.encode()).hexdigest()[:16])

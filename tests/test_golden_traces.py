@@ -1,10 +1,11 @@
 """Golden traces: the sha256 of every whole saved trace file (header, round
-lines and the verdict footer) on a fixed corpus of unpruned scenarios.
+lines and the verdict footer) on a fixed corpus of scenarios.
 
 The corpus is acceptance 9's 20 scenarios plus one small scenario per
-generator.  A refactor that changes any protocol record or any verdict of
-these runs changes a digest.  After an intended change of trace bytes,
-regenerate the data file with
+generator, run unpruned, and three `pruned_*` scenarios run with
+`prune=True` (the paper's 4D+1-slice window).  A refactor that changes any
+protocol record or any verdict of these runs changes a digest.  After an
+intended change of trace bytes, regenerate the data file with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 """
@@ -55,12 +56,18 @@ CORPUS = {
     "expander": lambda: gen_expander(
         ExpanderConfig(n=16, root_size=4, degree=4), seed=1, horizon=12
     ),
+    "pruned_stable_window": lambda: gen_stable_window(
+        seed=1, n=6, d_bound=2, r_st=3, horizon=60),
+    "pruned_static_star": lambda: gen_static_star(4, 30),
+    "pruned_rotating_roots": lambda: gen_rotating_roots(
+        seed=1, n=5, d_bound=2, horizon=30),
 }
 
 
 def trace_digest(name, workdir):
-    """sha256 of the whole trace file of one unpruned, fully checked run."""
-    trace = run(CORPUS[name]())
+    """sha256 of the whole trace file of one fully checked run, pruned iff
+    the name starts with `pruned_`."""
+    trace = run(CORPUS[name](), prune=name.startswith("pruned_"))
     run_checkers(trace, full=True)
     path = Path(workdir) / f"{name}.jsonl"
     trace_save(trace, path)

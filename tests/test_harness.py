@@ -195,6 +195,23 @@ class TestCheckers:
         assert verdict.status == "fail"
         assert verdict.witness["rule"] in ("subset", "in_neighborhood")
 
+    def test_approx_label_zero_fails_out_of_range(self):
+        # Rounds are 1-based: a label-0 slice is a verdict, not a crash in
+        # the round-graph lookup.
+        trace = run(gen_stable_window(seed=1, n=3, d_bound=2, r_st=2))
+        state = trace.approx_states[5][0]
+        forged = dict(state.edges)
+        forged[(2, 0)] = forged.get((2, 0), 0) | 1  # label 0
+        trace.approx_states[5][0] = ApproxState.from_edges(
+            owner=0, vertices=state.vertices, edges=forged
+        )
+        verdict = check_approx_invariants(trace)
+        assert verdict.status == "fail"
+        assert verdict.witness == {
+            "rule": "label_out_of_range", "process": 0, "round": 6,
+            "slice": 0,
+        }
+
     def test_approx_forged_vertex_beyond_n_fails_subset(self):
         trace = run(three_cycle())
         state = trace.approx_states[5][0]
