@@ -36,14 +36,20 @@ def _unpair(z):
     return (t, m) if t < m else (m, t - m)
 
 
+def _set_bits(x):
+    """Yield the set bit positions of a non-negative int, ascending.  One
+    pass over `bin(x)`, so linear in its length on slice-sized ints, where
+    `graphs._bits`, faster on short vertex masks, is quadratic."""
+    bits = bin(x)[:1:-1]  # bits[b] is bit b
+    b = bits.find("1")
+    while b >= 0:
+        yield b
+        b = bits.find("1", b + 1)
+
+
 def _decode(bits):
     """The edges (u, v) whose pair bits are set in `bits`, in bit order."""
-    edges = []
-    while bits:
-        low = bits & -bits
-        edges.append(_unpair(low.bit_length() - 1))
-        bits ^= low
-    return edges
+    return [_unpair(b) for b in _set_bits(bits)]
 
 
 def _allowed_mask(vertices):
@@ -87,13 +93,10 @@ class _Lineage:
         flips += [(s, m) for s, m in held.items() if s not in slices]
         for s, diff in flips:
             label = 1 << s
-            bits = bin(diff)[:1:-1]  # bits[b] is bit b
-            b = bits.find("1")
-            while b >= 0:
+            for b in _set_bits(diff):
                 old = masks.get(b, 0)
                 touched.setdefault(b, old)
                 masks[b] = old ^ label
-                b = bits.find("1", b + 1)
         frags, edge, resort = self.frags, self.edge, False
         for b, before in touched.items():
             m = masks[b]

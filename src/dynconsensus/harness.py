@@ -253,6 +253,23 @@ def check_approx_invariants(trace):
     slice, soundness of nonempty detected components, detection completeness
     over D-bounded stable root intervals, and the end-of-interval predicate.
 
+    The slice rules work on `ApproxState.slices` ints directly.  Each round
+    graph G^t is encoded once, in the slices' own layout (bit `_pair(u, v)`
+    for edge u -> v), as one in-edge mask per receiver and their OR, the
+    whole-graph mask.  A slice m breaks the subset rule iff `m & ~graph` is
+    nonzero; given that, its receivers are the w with `m & col[w]`, and it
+    misses an in-edge iff the OR of their `col[w]` has bits outside m.  Bits
+    are decoded only for a witness, the smallest offending edge.
+
+    Soundness is checked on a completed slice s < r only when its verdict
+    can differ from round r - 1's: a slice that changed, appeared or
+    disappeared, and the slice r - 1 just completed.  A detected component
+    depends only on the owner, the slice's int and `pruned_before`, so every
+    other slice passed at r - 1 and passes again; if the owner changes or
+    `pruned_before` goes down, every s < r is checked.  Ascending order
+    keeps the first failing (process, round, slice) the same as a check of
+    every slice of every state.
+
     A pruned run keeps only the paper's 4D+1-slice window: at round t the
     slices before t - 4D are gone, so the completeness rules check only the
     slices that window retains.  The cutoff comes from the trace's pruning
@@ -263,40 +280,55 @@ def check_approx_invariants(trace):
     horizon = len(trace.records)
     roots = sc.facts.roots
 
+    def encode(g):
+        """(whole-graph mask, per-receiver in-edge masks) of a round graph;
+        every edge's bit is in exactly one receiver's mask."""
+        in_masks = g.in_masks()
+        cols = [sum(1 << ap._pair(u, w) for u in _bits(in_masks[w]))
+                for w in range(n)]
+        return sum(cols), cols
+
+    masks = [None] + [encode(seq.round(t)) for t in range(1, horizon + 1)]
+
     def fail(rule, **witness):
         return CheckerVerdict("approx", "fail", witness={"rule": rule, **witness})
 
     for p in range(n):
-        prev = {}
+        prev, owner, cutoff = {}, p, 0
         for r in range(1, horizon + 1):
             state = trace.approx_states[r - 1][p]
-            changed = [t for t, m in state.slices.items() if prev.get(t) != m]
-            prev = state.slices
-            for t in sorted(changed):
+            slices = state.slices
+            changed = sorted(t for t, m in slices.items() if prev.get(t) != m)
+            for t in changed:
                 if not 1 <= t <= r:
                     rule = "label_from_future" if t > r else "label_out_of_range"
                     return fail(rule, process=p, round=r, slice=t)
-                g = seq.round(t)
-                _, slice_edges = ap.approx_restrict(state, t)
-                forged = slice_edges - g.edges
+                graph, cols = masks[t]
+                m = slices[t]
+                forged = m & ~graph
                 if forged:
                     return fail("subset", process=p, round=r, slice=t,
-                                edge=list(min(forged)))
-                # Given the subset rule, the slice holds every in-edge of its
-                # receivers iff it has as many edges as they have in-edges.
-                in_masks = g.in_masks()
-                receivers = {v for _, v in slice_edges}
-                inbound = sum(in_masks[w].bit_count() for w in receivers)
-                if len(slice_edges) != inbound:
-                    missing = min(
-                        (u, w) for w in receivers for u in _bits(in_masks[w])
-                        if (u, w) not in slice_edges
-                    )
+                                edge=list(min(ap._decode(forged))))
+                need = 0
+                for col in cols:
+                    if m & col:
+                        need |= col
+                missing = need & ~m
+                if missing:
                     return fail("in_neighborhood", process=p, round=r,
-                                slice=t, missing=list(missing))
+                                slice=t, missing=list(min(ap._decode(missing))))
             # Soundness: a nonempty detected component for a completed slice
             # is exactly a root component containing the owner.
-            for s in range(1, r):
+            if state.owner != owner or state.pruned_before < cutoff:
+                recheck = range(1, r)
+            else:
+                recheck = {t for t in changed if t < r}
+                recheck.update(t for t in prev if t not in slices)
+                if r > 1:
+                    recheck.add(r - 1)
+                recheck = sorted(recheck)
+            prev, owner, cutoff = slices, state.owner, state.pruned_before
+            for s in recheck:
                 comp = ap.detected_component(state, s)
                 if comp and (p not in comp or comp not in roots[s - 1].roots):
                     return fail(

@@ -194,19 +194,25 @@ def test_acceptance_6_two_roots_counterexample():
 
 def test_acceptance_7_expander_log_diameter():
     t0 = time.monotonic()
-    measured = {}
+    measured, scenarios = {}, {}
     for n in (64, 128, 256):
         cfg = ExpanderConfig(n=n, root_size=n // 8, degree=4)
-        sc = gen_expander(cfg, seed=17, horizon=20)
+        sc = scenarios[n] = gen_expander(cfg, seed=17, horizon=20)
         measured[n] = sc.meta["measured_diameter"]
+    # The smallest expander also runs end to end, pruned, through every
+    # checker.
+    statuses = {v.name: v.status
+                for v in run_checkers(run(scenarios[64], prune=True))}
     elapsed = time.monotonic() - t0
     c = measured[64] / math.log2(64)
     limit = measured[64] + c * (math.log2(256) - math.log2(64))
-    ok = elapsed < 300 and measured[256] <= limit
+    ok = (elapsed < 300 and measured[256] <= limit
+          and set(statuses.values()) == {"pass"} and len(statuses) == 5)
     _verdict(
         7,
         f"expander diameter growth at most logarithmic "
-        f"(Dm={measured}, limit={limit:.2f}, {elapsed:.1f}s)",
+        f"(Dm={measured}, limit={limit:.2f}, n=64 pruned run {statuses}, "
+        f"{elapsed:.1f}s)",
         ok,
     )
 

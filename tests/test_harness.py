@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynconsensus import (
     ApproxState,
@@ -8,16 +9,19 @@ from dynconsensus import (
     RoundGraph,
     Scenario,
     approx_prune,
+    approx_restrict,
     batch,
     check_agreement,
     check_approx_invariants,
     check_lock_discipline,
     check_termination_bound,
     check_validity,
+    detected_component,
     gen_rotating_roots,
     gen_stable_window,
     gen_static_star,
     gen_two_roots,
+    in_stable_root,
     report_csv,
     run,
     run_checkers,
@@ -25,7 +29,8 @@ from dynconsensus import (
     trace_save,
 )
 from dynconsensus import graphs, harness
-from dynconsensus.harness import REPORT_COLUMNS
+from dynconsensus.approximation import _pair
+from dynconsensus.harness import REPORT_COLUMNS, CheckerVerdict
 
 
 def three_cycle(horizon=12, inputs=(1, 5, 3), d=2):
@@ -287,6 +292,49 @@ class TestCheckers:
         assert verdict.status == "fail"
         assert verdict.witness["rule"] == "detection_latency"
 
+    def test_approx_dropped_slice_fails_soundness(self):
+        # Slice 4 missing from one state reads as the detected singleton
+        # {0}, which is no root component; the slice disappeared since the
+        # previous state, so it must be checked even though it did not
+        # change in value.
+        trace = run(gen_stable_window(seed=1, n=5, d_bound=2, r_st=3))
+        state = trace.approx_states[7][0]
+        slices = {s: m for s, m in state.slices.items() if s != 4}
+        trace.approx_states[7][0] = ApproxState(
+            state.owner, state.vertices, slices, state.pruned_before)
+        verdict = check_approx_invariants(trace)
+        assert verdict.witness == {
+            "rule": "detected_not_root", "process": 0, "round": 8,
+            "slice": 4, "detected": [0],
+        }
+
+    def test_approx_lowered_cutoff_fails_soundness(self):
+        # With `pruned_before` lowered to 0 the pruned-away slices read as
+        # empty graphs, not as no data: every completed slice is rechecked.
+        trace = run(gen_stable_window(seed=1, n=5, d_bound=2, r_st=3),
+                    prune=True)
+        state = trace.approx_states[-1][0]
+        assert state.pruned_before > 1
+        trace.approx_states[-1][0] = ApproxState(
+            state.owner, state.vertices, state.slices, 0)
+        verdict = check_approx_invariants(trace)
+        assert verdict.witness == {
+            "rule": "detected_not_root", "process": 0, "round": 15,
+            "slice": 1, "detected": [0],
+        }
+
+    def test_approx_stable_predicate_fault_injection(self, monkeypatch):
+        sc = gen_stable_window(seed=1, n=5, d_bound=2, r_st=3)
+        trace = run(sc)
+        assert sc.facts.d_bounded_intervals == [(3, 12, frozenset({1, 2}))]
+        monkeypatch.setattr(harness.ap, "in_stable_root",
+                            lambda *args: False)
+        verdict = check_approx_invariants(trace)
+        assert verdict.witness == {
+            "rule": "stable_predicate", "process": 1, "interval": [3, 10],
+            "round": 12,
+        }
+
     def test_lock_discipline_pass(self):
         trace = run(gen_stable_window(seed=5, n=6, d_bound=2, r_st=4))
         assert check_lock_discipline(trace).status == "pass"
@@ -408,3 +456,130 @@ def test_state_digests_are_computed_at_save(monkeypatch, tmp_path):
     assert calls == []
     trace_save(traces[0], tmp_path / "trace.jsonl")
     assert len(calls) == sc.n * sc.horizon
+
+
+def _reference_check_approx_invariants(trace):
+    """The set-based approximation checker: every slice rule on decoded
+    edge sets, soundness on every completed slice of every state.  Kept as
+    the reference for the bitmask checker."""
+    sc = trace.scenario
+    seq, n, d = sc.seq, sc.n, sc.d_bound
+    horizon = len(trace.records)
+    roots = sc.facts.roots
+
+    def fail(rule, **witness):
+        return CheckerVerdict("approx", "fail", witness={"rule": rule, **witness})
+
+    for p in range(n):
+        prev = {}
+        for r in range(1, horizon + 1):
+            state = trace.approx_states[r - 1][p]
+            changed = [t for t, m in state.slices.items() if prev.get(t) != m]
+            prev = state.slices
+            for t in sorted(changed):
+                if not 1 <= t <= r:
+                    rule = "label_from_future" if t > r else "label_out_of_range"
+                    return fail(rule, process=p, round=r, slice=t)
+                g = seq.round(t)
+                _, slice_edges = approx_restrict(state, t)
+                forged = slice_edges - g.edges
+                if forged:
+                    return fail("subset", process=p, round=r, slice=t,
+                                edge=list(min(forged)))
+                receivers = {v for _, v in slice_edges}
+                expected = {(u, w) for w in receivers
+                            for u in g.in_neighbors(w)}
+                missing = expected - slice_edges
+                if missing:
+                    return fail("in_neighborhood", process=p, round=r,
+                                slice=t, missing=list(min(missing)))
+            for s in range(1, r):
+                comp = detected_component(state, s)
+                if comp and (p not in comp or comp not in roots[s - 1].roots):
+                    return fail("detected_not_root", process=p, round=r,
+                                slice=s, detected=sorted(comp))
+
+    retained = 4 * d if trace.pruned else horizon
+    for a, b, members in sc.facts.d_bounded_intervals:
+        if b > horizon:
+            continue
+        for p in sorted(members):
+            for t in range(a + d, min(b, a + retained) + 1):
+                comp = detected_component(trace.approx_states[t - 1][p], a)
+                if comp != members:
+                    return fail("detection_latency", process=p, round=t,
+                                slice=a, detected=sorted(comp),
+                                expected=sorted(members))
+            if b - d >= a:
+                interval = (max(a, b - retained), b - d)
+                if not in_stable_root(trace.approx_states[b - 1][p],
+                                      interval, b):
+                    return fail("stable_predicate", process=p,
+                                interval=list(interval), round=b)
+    return CheckerVerdict("approx", "pass")
+
+
+def _forge(state, kind, t, rng):
+    """A copy of a state with slice t, its pruning cutoff or its owner
+    broken the way a faulty approximation layer could break it."""
+    slices = dict(state.slices)
+    cutoff = state.pruned_before
+    owner, vertices = state.owner, state.vertices
+    if kind in ("add_edge", "bad_label"):
+        u, v = rng.sample(range(len(vertices) + 1), 2)
+        slices[t] = slices.get(t, 0) | 1 << _pair(u, v)
+        vertices = vertices | {u, v}
+    elif kind == "drop_in_edge" and t in slices:
+        bits = [b for b in range(slices[t].bit_length()) if slices[t] >> b & 1]
+        slices[t] ^= 1 << rng.choice(bits)
+        if not slices[t]:
+            del slices[t]
+    elif kind == "drop_slice":
+        slices.pop(t, None)
+    elif kind == "lower_cutoff":
+        cutoff = rng.randint(0, max(0, cutoff - 1))
+    elif kind == "change_owner":
+        owner = rng.randrange(len(vertices) + 1)
+        vertices = vertices | {owner}
+    return ApproxState(owner, vertices, slices, cutoff)
+
+
+FORGERIES = ("add_edge", "drop_in_edge", "drop_slice", "bad_label",
+             "lower_cutoff", "change_owner")
+
+
+@st.composite
+def forged_runs(draw):
+    """A random short run, pruned or not, with one to three forgeries, each
+    applied to one to three consecutive states of one process."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, min(2, n - 1)))
+    horizon = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    # Repeat the previous graph often, so stable root intervals occur.
+    graphs_ = [RoundGraph(n, draw(st.sets(st.sampled_from(pairs))))]
+    for _ in range(horizon - 1):
+        graphs_.append(graphs_[-1] if draw(st.booleans()) else
+                       RoundGraph(n, draw(st.sets(st.sampled_from(pairs)))))
+    sc = Scenario(n=n, d_bound=d, horizon=horizon, inputs=tuple(range(n)),
+                  seq=GraphSequence(n, graphs_), meta={})
+    trace = run(sc, prune=draw(st.booleans()))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(FORGERIES))
+        p = draw(st.integers(0, n - 1))
+        r = draw(st.integers(1, horizon))
+        # Labels outside [1, r] only from `bad_label`: 0 or the future.
+        t = (draw(st.sampled_from([0, r + 1, r + 3])) if kind == "bad_label"
+             else draw(st.integers(1, r)))
+        for states in trace.approx_states[r - 1:r - 1 + draw(
+                st.integers(1, 3))]:
+            states[p] = _forge(states[p], kind, t, rng)
+    return trace
+
+
+@given(forged_runs())
+@settings(max_examples=300, deadline=None)
+def test_approx_checker_matches_set_reference(trace):
+    assert check_approx_invariants(trace) == (
+        _reference_check_approx_invariants(trace))
