@@ -129,10 +129,12 @@ def scenario_save(sc, path):
 
 def scenario_load(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not UTF-8 text at byte {exc.start}")
     return scenario_from_dict(data)
 
 

@@ -9,6 +9,7 @@ All output is stable for fixed inputs (no timestamps, sorted keys).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -174,12 +175,14 @@ def cmd_batch(args):
 
 
 def cmd_report(args):
-    import csv
-
     rows = []
     for path in args.inputs:
-        with open(path, newline="") as fh:
-            rows.extend(csv.DictReader(fh))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows.extend(csv.DictReader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            print(f"parse error: {path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     rows.sort(key=lambda row: (str(row.get("generator")),
                                str(row.get("seed"))))
     harness.report_csv(

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dynconsensus import (
     ApproxMessage,
@@ -16,6 +16,7 @@ from dynconsensus import (
     detected_component,
     in_stable_root,
 )
+from dynconsensus.approximation import _strong
 from dynconsensus.harness import approx_digest
 
 
@@ -40,7 +41,7 @@ def test_absorb_adds_direct_edge_with_round_label():
     q = approx_init(1)
     p = approx_absorb(p, 1, [approx_emit(q)])
     assert p.vertices == {0, 1}
-    assert p.labels((1, 0)) == (1,)
+    assert p.edges[(1, 0)] == 1 << 1
 
 
 def test_absorb_empty_inbox_is_identity():
@@ -55,8 +56,8 @@ def test_merge_takes_label_union():
     q = ApproxState.from_edges(
         owner=1, vertices={1, 2, 3}, edges={(2, 3): 1 << 2})
     merged = approx_absorb(p, 3, [approx_emit(q)])
-    assert merged.labels((2, 3)) == (1, 2)
-    assert merged.labels((1, 0)) == (3,)
+    assert merged.edges[(2, 3)] == 1 << 1 | 1 << 2
+    assert merged.edges[(1, 0)] == 1 << 3
 
 
 def test_absorb_is_monotone():
@@ -166,7 +167,7 @@ def test_prune_drops_old_labels():
         edges={(1, 0): (1 << 1) | (1 << 5), (2, 0): 1 << 2},
     )
     pruned = approx_prune(state, 3)
-    assert pruned.labels((1, 0)) == (5,)
+    assert pruned.edges[(1, 0)] == 1 << 5
     assert (2, 0) not in pruned.edges
     assert pruned.vertices == {0, 1, 2}
     # Slices below the cutoff report no data, not a spurious singleton.
@@ -256,18 +257,59 @@ def test_slice_layout_matches_edge_reference(case):
 
 
 @st.composite
-def lineage_chains(draw):
-    """Every state of an engine-like run: n <= 6 processes absorb their
-    in-neighbours' snapshots over r <= 10 random round graphs, optionally
-    pruned to a random window after each round."""
-    n = draw(st.integers(1, 6))
-    horizon = draw(st.integers(1, 10))
-    window = draw(st.none() | st.integers(0, 4))
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+def shared_slice_states(draw):
+    """(horizon, edge dict, [(owner, pruned_before)]): states of several
+    owners over the same slice ints.  Edges span n <= 5 vertices, self-loops
+    included, with labels in [1, horizon]; a slice may be edgeless; owners
+    range over [0, n], so owner n is in no slice's vertex set."""
+    n = draw(st.integers(1, 5))
+    horizon = draw(st.integers(1, 6))
+    edges = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.integers(1, (1 << horizon) - 1).map(lambda m: m << 1),
+        max_size=12,
+    ))
+    owners = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, horizon + 1)),
+        min_size=2, max_size=6,
+    ))
+    return horizon, edges, owners
+
+
+@given(shared_slice_states())
+@example((3, {(0, 1): 1 << 1, (1, 0): 1 << 1, (0, 0): 1 << 1, (2, 2): 1 << 2},
+          [(0, 0), (1, 2), (3, 0), (2, 0)]))
+def test_detected_component_shared_across_owners(case):
+    # `_strong` is keyed by the slice int alone, so whichever owner fills
+    # the cache first, each owner must get its own detected component.
+    # The example has a slice with a self-loop (1), one whose only edge is
+    # a self-loop (2), an edgeless slice (3), an owner outside every slice
+    # (3) and a slice below `pruned_before` (owner 1, slice 1).
+    horizon, edges, owners = case
+    ends = {x for e in edges for x in e}
+    states = [ApproxState.from_edges(p, ends | {p}, edges, cutoff)
+              for p, cutoff in owners]
+    for order in (states, states[::-1]):
+        _strong.cache_clear()
+        for state in order:
+            for s in range(1, horizon + 1):
+                vertices, slice_edges = approx_restrict(state, s)
+                expected = (
+                    vertices
+                    if s >= state.pruned_before
+                    and _strongly_connected(vertices, slice_edges)
+                    else frozenset()
+                )
+                assert detected_component(state, s) == expected
+
+
+def _engine_chain(n, graphs, window):
+    """Every state of an engine-like run: n processes absorb their
+    in-neighbours' snapshots over the round graphs (sets of edges), pruned
+    to the last `window` rounds after each round unless it is None."""
     states = [approx_init(p) for p in range(n)]
     chain = list(states)
-    for r in range(1, horizon + 1):
-        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    for r, edges in enumerate(graphs, 1):
         snaps = [approx_emit(s) for s in states]
         states = [approx_absorb(states[p], r,
                                 [snaps[u] for u in range(n) if (u, p) in edges])
@@ -276,6 +318,22 @@ def lineage_chains(draw):
             states = [approx_prune(s, r - window) for s in states]
         chain += states
     return chain
+
+
+@st.composite
+def lineage_reads(draw):
+    """(chain, reads): `_engine_chain` over 2 <= n <= 6 processes and
+    r <= 10 random round graphs, optionally pruned to a random window, and
+    random indices into it, with repeats, that interleave the lineages."""
+    n = draw(st.integers(2, 6))
+    horizon = draw(st.integers(1, 10))
+    window = draw(st.none() | st.integers(0, 4))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    graphs = [draw(st.sets(st.sampled_from(pairs))) for _ in range(horizon)]
+    chain = _engine_chain(n, graphs, window)
+    reads = draw(st.lists(st.integers(0, len(chain) - 1),
+                          max_size=3 * len(chain)))
+    return chain, reads
 
 
 def _reference_edges(state):
@@ -287,13 +345,17 @@ def _reference_edges(state):
     return edges
 
 
-@given(lineage_chains(), st.data())
-def test_lineage_cursor_matches_reference(chain, data):
-    # Read the states in random order, with repeats: each lineage's cursor
-    # must diff from whatever state it holds.
-    order = data.draw(st.lists(st.integers(0, len(chain) - 1),
-                               max_size=3 * len(chain)))
-    for i in order + list(range(len(chain))):
+@given(lineage_reads())
+@example((_engine_chain(2, [{(0, 1)}, {(1, 0)}, {(0, 1), (1, 0)}], 1), [5, 2]))
+def test_lineage_cursor_matches_reference(case):
+    # Each lineage's cursor must diff from whatever state it holds, while
+    # the lineages share `_label_text`.  After the random reads every state
+    # is read forward, backward and forward again: going back to the
+    # edgeless first states makes every edge vanish from its lineage's
+    # order, and going forward makes it reappear.
+    chain, reads = case
+    forward = list(range(len(chain)))
+    for i in reads + forward + forward[::-1] + forward:
         state = chain[i]
         edges = _reference_edges(state)
         ref = sorted(

@@ -193,6 +193,25 @@ def test_write_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("io error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, data", [
+    (["run", "--scenario", "bad"], b'{"n": "\xff\xfe"}\n'),
+    (["oracle", "--scenario", "bad", "rst"], b"\xff\xfe{}\n"),
+    (["report", "bad", "--out", "out.csv"], b"generator,seed\n\xff,0\n"),
+    (["report", "bad", "--out", "out.csv"],
+     b"generator,seed\n" + b"x" * 131_073 + b",0\n"),
+], ids=["run-not-utf8", "oracle-not-utf8", "report-not-utf8",
+        "report-huge-field"])
+def test_unreadable_input_is_parse_error(argv, data, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(data)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error:") and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_identical_invocations_identical_bytes(tmp_path, capsys):
     outs = []
     for name in ("x", "y"):

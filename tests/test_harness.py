@@ -89,8 +89,10 @@ class TestRun:
                 g = sc.seq.round(r)
                 for q in range(sc.n):
                     state = trace.approx_states[r - 1][q]
+                    edges = state.edges
                     heard = {
-                        u for u in range(sc.n) if r in state.labels((u, q))
+                        u for u in range(sc.n)
+                        if edges.get((u, q), 0) >> r & 1
                     }
                     assert heard == g.in_neighbors(q)
 
