@@ -84,6 +84,10 @@ def scenario_to_dict(sc):
     }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def scenario_from_dict(data):
     if not isinstance(data, dict):
         raise ScenarioParseError("top-level value must be an object")
@@ -91,12 +95,13 @@ def scenario_from_dict(data):
         if key not in data:
             raise ScenarioParseError(f"missing field: {key}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ScenarioParseError("field n must be a positive integer")
+    for key in ("D", "horizon"):
+        if not _is_int(data[key]):
+            raise ScenarioParseError(f"field {key} must be an integer")
     inputs = data["inputs"]
-    if not isinstance(inputs, list) or not all(
-        isinstance(v, int) for v in inputs
-    ):
+    if not isinstance(inputs, list) or not all(map(_is_int, inputs)):
         raise ScenarioParseError("field inputs must be a list of integers")
     rounds = data["rounds"]
     if not isinstance(rounds, list) or len(rounds) != data["horizon"]:
@@ -104,7 +109,10 @@ def scenario_from_dict(data):
     graphs = []
     for i, edges in enumerate(rounds, start=1):
         try:
-            graphs.append(RoundGraph(n, [(p, q) for p, q in edges]))
+            pairs = [(p, q) for p, q in edges]
+            if not all(_is_int(p) and _is_int(q) for p, q in pairs):
+                raise TypeError("edge endpoints must be integers")
+            graphs.append(RoundGraph(n, pairs))
         except (ValueError, TypeError) as exc:
             raise ScenarioParseError(f"rounds[{i}]: {exc}") from exc
     try:

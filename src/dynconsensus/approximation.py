@@ -10,10 +10,10 @@ so they can be snapshotted into messages by reference.
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
 (`_strong`, `_allowed_mask`, `_label_text`) are bounded module-level caches
-that every process shares.  Each process's states also share one `_Lineage`
-edge transposition cursor.  Consecutive states differ in a few slices, so
-the cursor moves between states by diffing slices: an edge view costs the
-changed bits plus one pass over the edges, not a pass over every label bit.
+that every process shares.  Edge-major views are for reading traces:
+`ApproxState.edges` transposes one state, and an `EdgeCursor` walks one
+process's states in round order, moving its transposition by the slices
+that changed from state to state.
 """
 
 from __future__ import annotations
@@ -77,9 +77,11 @@ def _label_text(mask):
     return f"[{', '.join(map(str, _bits(mask)))}]"
 
 
-class _Lineage:
-    """The edge transposition cursor one process's states share: the
-    slice -> edge transposition of the `slices` dict it last moved to.
+class EdgeCursor:
+    """The slice -> edge transposition of one process's states, read in
+    round order.  Consecutive states differ in a few slices, so moving to
+    the next state costs the changed bits plus one pass over the edges, not
+    a pass over every label bit; any other order is correct, only slower.
     `masks[b]` is the label mask of the edge with pair bit b and `edge[b]`
     that edge (u, v); `frags[(u, v)]` is the edge's JSON fragment
     "[u, v, [l1, ..., lk]]" and `order` the sorted list of the edges."""
@@ -90,13 +92,18 @@ class _Lineage:
         self.slices, self.masks, self.edge, self.frags = {}, {}, {}, {}
         self.order = []
 
-    def move(self, slices):
+    def edges_json(self, slices):
+        """Exactly `json.dumps(state.sorted_edges())` for the state with
+        these `slices`."""
+        if slices is not self.slices:
+            self._move(slices)
+        return "[" + ", ".join(map(self.frags.__getitem__, self.order)) + "]"
+
+    def _move(self, slices):
         """Diff `slices` against the held dict: XOR each changed slice's
         bits into the edge masks and re-render only the touched edges.
         Vanished edges are filtered out of `order`; appeared ones are
         appended and merged in by a sort of the mostly sorted list."""
-        if slices is self.slices:
-            return self
         masks, held, touched = self.masks, self.slices, {}
         flips = [(s, m ^ held.get(s, 0)) for s, m in slices.items()
                  if m is not held.get(s)]  # absorb shares unchanged ints
@@ -128,28 +135,22 @@ class _Lineage:
             order.sort()
         self.order = order
         self.slices = slices
-        return self
 
 
+@dataclass(repr=False, slots=True)
 class ApproxState:
-    """Process p's approximation digraph: vertices, labeled edges, owner.
+    """Process p's approximation digraph: owner, vertices, and `slices`,
+    which maps round s to the int of its edge bits (no value is 0).  Slices
+    before `pruned_before` were dropped by pruning.  `edges`
+    ({(u, v): label mask}) and `sorted_edges` are derived views."""
 
-    `slices` maps round s to the int of its edge bits; no value is 0.
-    `edges` ({(u, v): label mask}), `sorted_edges` and `edges_json` are
-    derived read-only views.  `_lineage`, excluded from equality, is one
-    process's `_Lineage` (`approx_init` or `from_edges` creates it, absorb
-    and prune hand it on), whose cursor the edge views move to this state.
-    """
+    owner: int
+    vertices: frozenset
+    slices: dict
+    pruned_before: int = 0
 
-    __slots__ = ("owner", "vertices", "slices", "pruned_before", "_lineage")
-
-    def __init__(self, owner, vertices, slices, pruned_before=0,
-                 _lineage=None):
-        self.owner = owner
-        self.vertices = frozenset(vertices)
-        self.slices = slices
-        self.pruned_before = pruned_before
-        self._lineage = _Lineage() if _lineage is None else _lineage
+    def __post_init__(self):
+        self.vertices = frozenset(self.vertices)
 
     @classmethod
     def from_edges(cls, owner, vertices, edges, pruned_before=0):
@@ -164,27 +165,16 @@ class ApproxState:
 
     @property
     def edges(self):
-        cur = self._lineage.move(self.slices)
-        return {e: cur.masks[_pair(*e)] for e in cur.order}
+        """{(u, v): label mask}, in sorted edge order."""
+        masks = {}
+        for s, m in self.slices.items():
+            label = 1 << s
+            for b in _set_bits(m):
+                masks[b] = masks.get(b, 0) | label
+        return dict(sorted((_unpair(b), m) for b, m in masks.items()))
 
     def sorted_edges(self):
-        cur = self._lineage.move(self.slices)
-        return [(u, v, tuple(_bits(cur.masks[_pair(u, v)])))
-                for u, v in cur.order]
-
-    def edges_json(self):
-        """Exactly `json.dumps(self.sorted_edges())`."""
-        cur = self._lineage.move(self.slices)
-        return "[" + ", ".join(map(cur.frags.__getitem__, cur.order)) + "]"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ApproxState)
-            and self.owner == other.owner
-            and self.vertices == other.vertices
-            and self.slices == other.slices
-            and self.pruned_before == other.pruned_before
-        )
+        return [(u, v, tuple(_bits(m))) for (u, v), m in self.edges.items()]
 
     def __repr__(self):
         return (
@@ -249,8 +239,7 @@ def approx_absorb(state, r, received):
             if old | m != old:  # an unchanged slice keeps its shared int
                 slices[s] = old | m
     slices[r] = slices.get(r, 0) | direct
-    return ApproxState(state.owner, vertices, slices, state.pruned_before,
-                       state._lineage)
+    return ApproxState(state.owner, vertices, slices, state.pruned_before)
 
 
 def approx_restrict(state, s):
@@ -343,5 +332,4 @@ def approx_prune(state, keep_after):
     if keep_after <= state.pruned_before:
         return state
     slices = {s: m for s, m in state.slices.items() if s >= keep_after}
-    return ApproxState(state.owner, state.vertices, slices, keep_after,
-                       state._lineage)
+    return ApproxState(state.owner, state.vertices, slices, keep_after)

@@ -43,7 +43,7 @@ def cons_emit(state):
     return LockMessage(lock_round=state.lock_round, x=state.x)
 
 
-def cons_step(state, r, received, predicate, d_bound, reset_lock_round=False):
+def cons_step(state, r, received, predicate, d_bound):
     """One round-r computation step.
 
     `received` is a list of LockMessage|DecideMessage; `predicate`
@@ -96,8 +96,6 @@ def cons_step(state, r, received, predicate, d_bound, reset_lock_round=False):
         if locked:
             events.append({"kind": "unlock", "round": r})
         locked = False
-        if reset_lock_round:
-            lock_round = 0
 
     return (
         ConsensusState(

@@ -26,12 +26,14 @@ def _vertices_json(vertices):
     return json.dumps(sorted(vertices))
 
 
-def approx_digest(state):
+def approx_digest(state, cursor):
     """Stable hash of an approximation state for compact trace records: the
     canonical JSON {edges, owner, pruned_before, vertices}, keys sorted,
-    with the edges as sorted [u, v, [labels]]."""
+    with the edges as sorted [u, v, [labels]], rendered by `cursor`, an
+    `EdgeCursor` that reads this process's states."""
     payload = (
-        f'{{"edges": {state.edges_json()}, "owner": {state.owner}, '
+        f'{{"edges": {cursor.edges_json(state.slices)}, '
+        f'"owner": {state.owner}, '
         f'"pruned_before": {state.pruned_before}, '
         f'"vertices": {_vertices_json(state.vertices)}}}'
     )
@@ -70,7 +72,7 @@ class Trace:
 @dataclass(frozen=True)
 class CheckerVerdict:
     name: str
-    status: str  # pass | fail | skipped | inconclusive
+    status: str  # pass | fail | skipped
     witness: object = None
 
     @property
@@ -78,7 +80,7 @@ class CheckerVerdict:
         return self.status != "fail"
 
 
-def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
+def run(scenario, prune=False):
     """Simulate the scenario round by round and record a full trace.
 
     At the start of each round every process emits an approximation snapshot
@@ -88,17 +90,11 @@ def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
     """
     n = scenario.n
     d = scenario.d_bound
-    horizon = scenario.horizon if horizon_override is None else horizon_override
-    if not 1 <= horizon <= scenario.horizon:
-        raise ValueError(
-            f"horizon override {horizon} outside [1, {scenario.horizon}]"
-        )
-
     approx = [ap.approx_init(p) for p in range(n)]
     cons = [cs.cons_init(scenario.inputs[p]) for p in range(n)]
     trace = Trace(scenario=scenario, pruned=prune)
 
-    for r in range(1, horizon + 1):
+    for r in range(1, scenario.horizon + 1):
         in_masks = scenario.seq.round(r).in_masks()
         snapshots = [ap.approx_emit(st) for st in approx]
         messages = [cs.cons_emit(st) for st in cons]
@@ -119,12 +115,7 @@ def run(scenario, prune=False, horizon_override=None, reset_lock_round=False):
                 return result
 
             cons[p], evs = cs.cons_step(
-                cons[p],
-                r,
-                [messages[u] for u in senders],
-                predicate,
-                d,
-                reset_lock_round=reset_lock_round,
+                cons[p], r, [messages[u] for u in senders], predicate, d
             )
             if evs:
                 events[p] = evs
@@ -152,8 +143,10 @@ def trace_save(trace, path):
     verdicts.  Canonical key order for byte-reproducibility.
 
     A round line's `delivered` (each receiver's ascending senders) comes from
-    the round graph and its `approx` digests from the recorded states."""
+    the round graph and its `approx` digests from the recorded states, one
+    `EdgeCursor` per process moving forward through that process's states."""
     sc = trace.scenario
+    cursors = [ap.EdgeCursor() for _ in range(sc.n)]
     with open(path, "w") as fh:
         header = {
             "scenario_digest": scenario_digest(sc),
@@ -178,7 +171,8 @@ def trace_save(trace, path):
                     for p, log in rec.predicate_evals.items()
                 },
                 "approx": {
-                    str(p): approx_digest(st) for p, st in enumerate(approx)
+                    str(p): approx_digest(st, cursors[p])
+                    for p, st in enumerate(approx)
                 },
                 "cons": {
                     str(p): {
@@ -238,10 +232,6 @@ def check_termination_bound(trace):
         return CheckerVerdict("termination", "skipped",
                               witness={"reason": "no stability window"})
     bound = r_st + 4 * sc.d_bound + 1
-    simulated = len(trace.records)
-    if simulated < bound:
-        return CheckerVerdict("termination", "inconclusive",
-                              witness={"bound": bound, "horizon": simulated})
     late = {
         p: r for p, (_, r) in trace.decisions.items() if r > bound
     }
@@ -284,8 +274,7 @@ def check_approx_invariants(trace):
     flag and D, never from protocol state.
     """
     sc = trace.scenario
-    seq, n, d = sc.seq, sc.n, sc.d_bound
-    horizon = len(trace.records)
+    seq, n, d, horizon = sc.seq, sc.n, sc.d_bound, sc.horizon
     roots = sc.facts.roots
 
     def encode(g):
@@ -348,8 +337,6 @@ def check_approx_invariants(trace):
     # A round-t state holds the slices from t - retained on.
     retained = 4 * d if trace.pruned else horizon
     for a, b, members in sc.facts.d_bounded_intervals:
-        if b > horizon:
-            continue
         for p in sorted(members):
             for t in range(a + d, min(b, a + retained) + 1):
                 state = trace.approx_states[t - 1][p]
@@ -380,9 +367,8 @@ def check_lock_discipline(trace):
         return CheckerVerdict("lock", "skipped",
                               witness={"reason": "no decisions"})
     d = sc.d_bound
-    horizon = len(trace.records)
     roots = sc.facts.roots
-    if not all(rr.is_single for rr in roots[:horizon]):
+    if not all(rr.is_single for rr in roots):
         return CheckerVerdict("lock", "skipped",
                               witness={"reason": "multi-root round"})
 
@@ -402,7 +388,7 @@ def check_lock_discipline(trace):
         return fail("decision_timing")
 
     lo, hi = lock_round - d - 1, lock_round + d
-    if lo < 1 or hi > horizon:
+    if lo < 1 or hi > sc.horizon:
         return fail("window_out_of_range", window=[lo, hi])
     members = roots[lo - 1].roots[0]
     for x in range(lo, hi + 1):

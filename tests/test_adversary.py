@@ -215,3 +215,20 @@ class TestScenarioFormat:
         )
         with pytest.raises(ScenarioParseError, match="rounds"):
             scenario_load(loop)
+
+        # Integer fields reject floats and booleans instead of truncating
+        # them or failing later in the oracle or the engine.
+        good = {"n": 2, "D": 1, "horizon": 2, "inputs": [0, 1],
+                "rounds": [[[0, 1]], [[1, 0]]], "meta": {}}
+        for key, value, match in [
+            ("horizon", 2.0, "horizon"),
+            ("D", 1.0, "field D"),
+            ("D", True, "field D"),
+            ("inputs", [0, True], "inputs"),
+            ("rounds", [[[0.5, 1]], [[1, 0]]], r"rounds\[1\]"),
+            ("rounds", [[[0, 1]], [[1, False]]], r"rounds\[2\]"),
+        ]:
+            typed = tmp_path / "typed.json"
+            typed.write_text(json.dumps({**good, key: value}))
+            with pytest.raises(ScenarioParseError, match=match):
+                scenario_load(typed)

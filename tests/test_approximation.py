@@ -16,7 +16,7 @@ from dynconsensus import (
     detected_component,
     in_stable_root,
 )
-from dynconsensus.approximation import _strong
+from dynconsensus.approximation import EdgeCursor, _strong
 from dynconsensus.harness import approx_digest
 
 
@@ -345,34 +345,61 @@ def _reference_edges(state):
     return edges
 
 
+def _assert_views_match_reference(state, cursor):
+    """`edges`, `sorted_edges`, the cursor's edges JSON and the digest read
+    through `cursor` all match the set-based reference."""
+    edges = _reference_edges(state)
+    ref = sorted(
+        (u, v, tuple(s for s in range(m.bit_length()) if m >> s & 1))
+        for (u, v), m in edges.items()
+    )
+    assert state.edges == edges
+    assert state.sorted_edges() == ref
+    assert cursor.edges_json(state.slices) == json.dumps(ref)
+    payload = json.dumps(
+        {
+            "owner": state.owner,
+            "vertices": sorted(state.vertices),
+            "edges": ref,
+            "pruned_before": state.pruned_before,
+        },
+        sort_keys=True,
+    )
+    assert approx_digest(state, cursor) == (
+        hashlib.sha256(payload.encode()).hexdigest()[:16])
+
+
 @given(lineage_reads())
 @example((_engine_chain(2, [{(0, 1)}, {(1, 0)}, {(0, 1), (1, 0)}], 1), [5, 2]))
 def test_lineage_cursor_matches_reference(case):
-    # Each lineage's cursor must diff from whatever state it holds, while
-    # the lineages share `_label_text`.  After the random reads every state
-    # is read forward, backward and forward again: going back to the
-    # edgeless first states makes every edge vanish from its lineage's
-    # order, and going forward makes it reappear.
+    # Each owner's states are read through that owner's own cursor, which
+    # must diff from whatever state it holds, while the cursors share
+    # `_label_text`.  After the random reads every state is read forward,
+    # backward and forward again: going back to the edgeless first states
+    # makes every edge vanish from its cursor's order, and going forward
+    # makes it reappear.
     chain, reads = case
+    cursors = {}
     forward = list(range(len(chain)))
     for i in reads + forward + forward[::-1] + forward:
         state = chain[i]
-        edges = _reference_edges(state)
-        ref = sorted(
-            (u, v, tuple(s for s in range(m.bit_length()) if m >> s & 1))
-            for (u, v), m in edges.items()
-        )
-        assert state.edges == edges
-        assert state.sorted_edges() == ref
-        assert state.edges_json() == json.dumps(ref)
-        payload = json.dumps(
-            {
-                "owner": state.owner,
-                "vertices": sorted(state.vertices),
-                "edges": ref,
-                "pruned_before": state.pruned_before,
-            },
-            sort_keys=True,
-        )
-        assert approx_digest(state) == (
-            hashlib.sha256(payload.encode()).hexdigest()[:16])
+        cursor = cursors.setdefault(state.owner, EdgeCursor())
+        _assert_views_match_reference(state, cursor)
+
+
+def test_cursor_reads_forged_mid_chain_state():
+    # A forged state shares no slice ints with its neighbours, and drops
+    # one edge and adds another, so the cursor must flip whole slices in
+    # and out on the way to it and back to the real lineage.
+    ring = {(0, 1), (1, 2), (2, 0)}
+    lineage = _engine_chain(3, [ring] * 8, 3)[1::3]  # process 1's states
+    real = lineage[5]
+    edges = dict(real.edges)
+    del edges[min(edges)]
+    edges[(2, 1)] = 1 << 3 | 1 << 4
+    lineage[5] = ApproxState.from_edges(1, real.vertices, edges,
+                                        real.pruned_before)
+    assert lineage[5] != real
+    cursor = EdgeCursor()
+    for state in lineage:
+        _assert_views_match_reference(state, cursor)

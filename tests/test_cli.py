@@ -212,6 +212,28 @@ def test_unreadable_input_is_parse_error(argv, data, tmp_path, monkeypatch,
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "sc.json"],
+    ["oracle", "--scenario", "sc.json", "rst"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("key, value", [
+    ("horizon", 2.0),
+    ("D", 1.0),
+    ("rounds", [[[0.5, 1]], [[1, 0]]]),
+], ids=["float-horizon", "float-D", "float-endpoint"])
+def test_non_integer_fields_are_parse_errors(argv, key, value, tmp_path,
+                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    data = {"n": 2, "D": 1, "horizon": 2, "inputs": [0, 1],
+            "rounds": [[[0, 1]], [[1, 0]]], "meta": {}}
+    (tmp_path / "sc.json").write_text(json.dumps({**data, key: value}))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("parse error:")
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_identical_invocations_identical_bytes(tmp_path, capsys):
     outs = []
     for name in ("x", "y"):

@@ -97,10 +97,3 @@ def test_unlock_branch_resets_locked_only():
     new, events = cons_step(state, 9, [], never, 2)
     assert not new.locked and new.lock_round == 4
     assert [e["kind"] for e in events] == ["unlock"]
-
-
-def test_unlock_with_reset_lock_round_compat_flag():
-    state = ConsensusState(x=3, locked=True, lock_round=4)
-    new, _ = cons_step(state, 9, [], never, 2, reset_lock_round=True)
-    assert not new.locked and new.lock_round == 0
-
