@@ -43,9 +43,7 @@ class ScenarioParseError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    n: int
     d_bound: int
-    horizon: int
     inputs: tuple
     seq: GraphSequence
     meta: dict = field(default_factory=dict)
@@ -53,15 +51,21 @@ class Scenario:
     def __post_init__(self):
         if len(self.inputs) != self.n:
             raise ValueError("inputs must assign one value per process")
-        if self.seq.n != self.n or self.seq.horizon != self.horizon:
-            raise ValueError("sequence does not match n/horizon")
         if not 1 <= self.d_bound <= max(1, self.n - 1):
             raise ValueError("D must satisfy 1 <= D <= n-1")
 
+    @property
+    def n(self):
+        return self.seq.n
+
+    @property
+    def horizon(self):
+        return self.seq.horizon
+
     @cached_property
     def facts(self):
-        """The oracle's StabilityReport for this sequence and D (default
-        window 4D + 2), computed on first use."""
+        """The oracle's StabilityReport for this sequence and D, computed on
+        first use."""
         return find_r_st(self.seq, self.d_bound)
 
 
@@ -117,9 +121,7 @@ def scenario_from_dict(data):
             raise ScenarioParseError(f"rounds[{i}]: {exc}") from exc
     try:
         return Scenario(
-            n=n,
             d_bound=data["D"],
-            horizon=data["horizon"],
             inputs=tuple(inputs),
             seq=GraphSequence(n, graphs),
             meta=dict(data["meta"]),
@@ -250,9 +252,7 @@ def gen_stable_window(seed, n, d_bound, r_st, window_len=None, horizon=None):
             prev_center = center
 
     sc = Scenario(
-        n=n,
         d_bound=d_bound,
-        horizon=horizon,
         inputs=_default_inputs(n),
         seq=GraphSequence(n, rounds),
         meta={
@@ -284,9 +284,7 @@ def gen_rotating_roots(seed, n, d_bound, horizon):
         rounds.append(_star_round(n, center, rng, extra=rng.randrange(0, n)))
         prev = center
     return Scenario(
-        n=n,
         d_bound=d_bound,
-        horizon=horizon,
         inputs=_default_inputs(n),
         seq=GraphSequence(n, rounds),
         meta={
@@ -298,11 +296,9 @@ def gen_rotating_roots(seed, n, d_bound, horizon):
     )
 
 
-def _tagged_static(name, n, d_bound, horizon, graphs):
+def _tagged_static(name, n, d_bound, graphs):
     sc = Scenario(
-        n=n,
         d_bound=d_bound,
-        horizon=horizon,
         inputs=_default_inputs(n),
         seq=GraphSequence(n, graphs),
         meta={"generator": name, "seed": 0},
@@ -320,7 +316,7 @@ def gen_static_line(n, horizon):
     if n < 2:
         raise InfeasibleError("need n >= 2")
     g = RoundGraph(n, [(i, i + 1) for i in range(n - 1)])
-    return _tagged_static("static_line", n, n - 1, horizon, [g] * horizon)
+    return _tagged_static("static_line", n, n - 1, [g] * horizon)
 
 
 def gen_static_star(n, horizon):
@@ -328,7 +324,7 @@ def gen_static_star(n, horizon):
     if n < 2:
         raise InfeasibleError("need n >= 2")
     g = _star_round(n, 0)
-    return _tagged_static("static_star", n, n - 1, horizon, [g] * horizon)
+    return _tagged_static("static_star", n, n - 1, [g] * horizon)
 
 
 def gen_reversing_line(n, kappa, horizon):
@@ -340,7 +336,7 @@ def gen_reversing_line(n, kappa, horizon):
     fwd = RoundGraph(n, [(i, i + 1) for i in range(n - 1)])
     rev = RoundGraph(n, [(i + 1, i) for i in range(n - 1)])
     graphs = [fwd] * kappa + [rev] * (horizon - kappa)
-    sc = _tagged_static("reversing_line", n, n - 1, horizon, graphs)
+    sc = _tagged_static("reversing_line", n, n - 1, graphs)
     sc.meta["kappa"] = kappa
     return sc
 
@@ -364,9 +360,7 @@ def gen_two_roots(n0, n1, horizon):
     g = RoundGraph(n, edges)
     inputs = (0,) * n0 + (1,) * n1 + (0,)
     return Scenario(
-        n=n,
         d_bound=n - 1,
-        horizon=horizon,
         inputs=inputs,
         seq=GraphSequence(n, [g] * horizon),
         meta={
@@ -389,9 +383,7 @@ def gen_complete_then_rings(horizon=3):
     ring = RoundGraph(n, [(i, (i + 1) % n) for i in range(n)])
     graphs = [complete] + [ring] * (horizon - 1)
     return Scenario(
-        n=n,
         d_bound=1,
-        horizon=horizon,
         inputs=_default_inputs(n),
         seq=GraphSequence(n, graphs),
         meta={
@@ -448,9 +440,7 @@ def gen_short_window(n, d_bound, horizon, r_st=3, seed=0):
             rounds.append(RoundGraph(n, edges | {(extra, 0)}))
 
     sc = Scenario(
-        n=n,
         d_bound=d_bound,
-        horizon=horizon,
         inputs=_default_inputs(n),
         seq=GraphSequence(n, rounds),
         meta={
@@ -521,9 +511,7 @@ def gen_expander(cfg, seed, horizon):
         raise InfeasibleError("horizon too short to measure the diameter")
     d_bound = min(max(1, int(measured)), cfg.n - 1)
     sc = Scenario(
-        n=cfg.n,
         d_bound=d_bound,
-        horizon=horizon,
         inputs=_default_inputs(cfg.n),
         seq=seq,
         meta={

@@ -64,10 +64,12 @@ def _build_scenario(args, seed):
     if gen == "two_roots":
         return adv.gen_two_roots(args.n0, args.n1, args.horizon)
     if gen == "complete_then_rings":
-        return adv.gen_complete_then_rings(args.horizon or 3)
+        return adv.gen_complete_then_rings(
+            3 if args.horizon is None else args.horizon
+        )
     if gen == "short_window":
         return adv.gen_short_window(
-            args.n, args.d, args.horizon, r_st=args.r_st or 3, seed=seed
+            args.n, args.d, args.horizon, r_st=args.r_st, seed=seed
         )
     if gen == "expander":
         cfg = adv.ExpanderConfig(
@@ -164,10 +166,7 @@ def cmd_batch(args):
     rows, _ = harness.batch(scenarios, full=args.full)
     harness.report_csv(rows, args.out)
     failed = sum(
-        1
-        for row in rows
-        if any(row[c] == "fail" for c in ("agreement", "validity",
-                                          "termination", "approx", "lock"))
+        any(row[c] == "fail" for c in harness.CHECKER_NAMES) for row in rows
     )
     print(f"scenarios={len(rows)} failed={failed}")
     print(f"wrote {args.out}")

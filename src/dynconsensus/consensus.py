@@ -16,8 +16,11 @@ class ConsensusState:
     x: int
     locked: bool = False
     lock_round: int = 0
-    decided: bool = False
     decision: Optional[Tuple[int, int]] = None  # (value, round)
+
+    @property
+    def decided(self):
+        return self.decision is not None
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def cons_step(state, r, received, predicate, d_bound):
         v = decide_values[-1]
         events.append({"kind": "decide", "value": v, "round": r})
         return (
-            replace(state, x=v, decided=True, decision=(v, r)),
+            replace(state, x=v, decision=(v, r)),
             events,
         )
 
@@ -81,7 +84,6 @@ def cons_step(state, r, received, predicate, d_bound):
     lock_round, x = best
 
     locked = state.locked
-    decided = False
     decision = state.decision
     if predicate((r - d_bound - 1, r - d_bound)):
         if not locked:
@@ -89,7 +91,6 @@ def cons_step(state, r, received, predicate, d_bound):
             lock_round = r
             events.append({"kind": "lock", "round": r})
         elif predicate((lock_round, lock_round + d_bound)):
-            decided = True
             decision = (x, r)
             events.append({"kind": "decide", "value": x, "round": r})
     else:
@@ -102,7 +103,6 @@ def cons_step(state, r, received, predicate, d_bound):
             x=x,
             locked=locked,
             lock_round=lock_round,
-            decided=decided,
             decision=decision,
         ),
         events,

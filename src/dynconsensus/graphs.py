@@ -141,22 +141,28 @@ class RootReport:
     """Root components of one round graph."""
 
     roots: tuple
-    is_single: bool
+
+    @property
+    def is_single(self):
+        return len(self.roots) == 1
 
 
 @dataclass
 class StableIntervalReport:
     """A maximal interval over which the root component's vertex set is constant.
 
-    Diameter fields stay None unless explicitly requested; multi_root marks a
-    run of rounds with more than one root component (vertex_set is None then).
+    Diameter fields stay None unless explicitly requested; vertex_set is
+    None on a run of rounds with more than one root component.
     """
 
     interval: tuple
     vertex_set: frozenset | None
     per_round_diameter: dict | None = None
     interval_diameter: float | None = None
-    multi_root: bool = False
+
+    @property
+    def multi_root(self):
+        return self.vertex_set is None
 
 
 @dataclass
@@ -167,7 +173,6 @@ class StabilityReport:
     intervals longer than D that are D-bounded, as (a, b, members)."""
 
     r_st: int | None
-    window: tuple | None
     multi_root_rounds: list = field(default_factory=list)
     unbounded_intervals: list = field(default_factory=list)
     roots: tuple = ()
@@ -249,7 +254,7 @@ def root_components(g):
         if comp_of[p] != comp_of[q]:
             has_external_in[comp_of[q]] = True
     roots = tuple(c for i, c in enumerate(sccs) if not has_external_in[i])
-    return RootReport(roots=roots, is_single=len(roots) == 1)
+    return RootReport(roots=roots)
 
 
 def causal_reach(seq, r, p, max_steps=None):
@@ -398,9 +403,7 @@ def _stable_runs(root_reports):
         if reports and reports[-1].vertex_set == vset:
             reports[-1].interval = (reports[-1].interval[0], x)
         else:
-            reports.append(StableIntervalReport(
-                interval=(x, x), vertex_set=vset, multi_root=vset is None
-            ))
+            reports.append(StableIntervalReport((x, x), vset))
     return reports
 
 
@@ -423,27 +426,24 @@ def check_d_bounded(seq, interval, members, d_bound):
     )
 
 
-def find_r_st(seq, d_bound, window_len=None):
+def find_r_st(seq, d_bound):
     """Search for the earliest stability window of Assumption-1 shape, and
     collect the oracle's facts about the sequence on the way.
 
-    Returns a StabilityReport with the smallest r such that
-    [r, r + window_len - 1] lies within the horizon and hosts a D-bounded
-    vertex-stable root component (window_len defaults to 4D + 2, the minimum
-    satisfying d > 4D).  Violations of the single-root clause and of
-    "every stable root interval of length >= D is D-bounded" are reported as
-    fields, not errors.  Every round is decomposed into root components
-    exactly once.
+    Returns a StabilityReport with the smallest r such that [r, r + 4D + 1]
+    lies within the horizon and hosts a D-bounded vertex-stable root
+    component (4D + 2 rounds, the minimum satisfying d > 4D).  Violations of
+    the single-root clause and of "every stable root interval of length >= D
+    is D-bounded" are reported as fields, not errors.  Every round is
+    decomposed into root components exactly once.
     """
     if d_bound < 1:
         raise ValueError("D must be >= 1")
-    if window_len is None:
-        window_len = 4 * d_bound + 2
+    window_len = 4 * d_bound + 2
 
     roots = tuple(root_components(g) for g in seq.rounds)
     report = StabilityReport(
         r_st=None,
-        window=None,
         multi_root_rounds=[
             x for x, rr in enumerate(roots, start=1) if not rr.is_single
         ],
@@ -474,7 +474,7 @@ def find_r_st(seq, d_bound, window_len=None):
                     report.unbounded_intervals.append((a, b))
                     continue
                 if length == window_len and report.r_st is None:
-                    report.r_st, report.window = a, (a, b)
+                    report.r_st = a
                 if (a, b) == (a0, b0) and length > d_bound:
                     report.d_bounded_intervals.append((a0, b0, members))
     return report

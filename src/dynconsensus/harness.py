@@ -49,21 +49,20 @@ def scenario_digest(sc):
 
 @dataclass
 class RoundRecord:
-    """What only the engine knows about a round.  Deliveries follow from the
-    round graph and state digests from `Trace.approx_states`; `trace_save`
-    derives both."""
+    """One round as the engine saw it: each process's events, predicate
+    evaluations and end-of-round states.  Deliveries follow from the round
+    graph and state digests from `approx`; `trace_save` derives both."""
 
-    round: int
     events: dict  # process -> list of event dicts
     predicate_evals: dict  # process -> {interval: bool}
+    approx: list  # [p] -> ApproxState
+    cons: list  # [p] -> ConsensusState
 
 
 @dataclass
 class Trace:
     scenario: object
-    records: list = field(default_factory=list)
-    approx_states: list = field(default_factory=list)  # [round-1][p]
-    cons_states: list = field(default_factory=list)
+    records: list = field(default_factory=list)  # records[r - 1]: round r
     decisions: dict = field(default_factory=dict)  # p -> (value, round)
     verdicts: list = field(default_factory=list)
     pruned: bool = False
@@ -130,10 +129,8 @@ def run(scenario, prune=False):
                 approx = [ap.approx_prune(st, keep_after) for st in approx]
 
         trace.records.append(
-            RoundRecord(round=r, events=events, predicate_evals=evals)
+            RoundRecord(events, evals, list(approx), list(cons))
         )
-        trace.approx_states.append(list(approx))
-        trace.cons_states.append(list(cons))
 
     return trace
 
@@ -156,12 +153,10 @@ def trace_save(trace, path):
             "pruned": trace.pruned,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec, approx, states in zip(
-            trace.records, trace.approx_states, trace.cons_states
-        ):
-            in_masks = sc.seq.round(rec.round).in_masks()
+        for r, rec in enumerate(trace.records, start=1):
+            in_masks = sc.seq.round(r).in_masks()
             line = {
-                "round": rec.round,
+                "round": r,
                 "delivered": {
                     str(q): list(_bits(mask)) for q, mask in enumerate(in_masks)
                 },
@@ -172,7 +167,7 @@ def trace_save(trace, path):
                 },
                 "approx": {
                     str(p): approx_digest(st, cursors[p])
-                    for p, st in enumerate(approx)
+                    for p, st in enumerate(rec.approx)
                 },
                 "cons": {
                     str(p): {
@@ -181,7 +176,7 @@ def trace_save(trace, path):
                         "lockRound": st.lock_round,
                         "decided": st.decided,
                     }
-                    for p, st in enumerate(states)
+                    for p, st in enumerate(rec.cons)
                 },
             }
             fh.write(json.dumps(line, sort_keys=True) + "\n")
@@ -293,7 +288,7 @@ def check_approx_invariants(trace):
     for p in range(n):
         prev, owner, cutoff = {}, p, 0
         for r in range(1, horizon + 1):
-            state = trace.approx_states[r - 1][p]
+            state = trace.records[r - 1].approx[p]
             slices = state.slices
             changed = sorted(t for t, m in slices.items() if prev.get(t) != m)
             for t in changed:
@@ -339,7 +334,7 @@ def check_approx_invariants(trace):
     for a, b, members in sc.facts.d_bounded_intervals:
         for p in sorted(members):
             for t in range(a + d, min(b, a + retained) + 1):
-                state = trace.approx_states[t - 1][p]
+                state = trace.records[t - 1].approx[p]
                 comp = ap.detected_component(state, a)
                 if comp != members:
                     return fail(
@@ -348,7 +343,7 @@ def check_approx_invariants(trace):
                         detected=sorted(comp), expected=sorted(members),
                     )
             if b - d >= a:
-                state = trace.approx_states[b - 1][p]
+                state = trace.records[b - 1].approx[p]
                 interval = (max(a, b - retained), b - d)
                 if not ap.in_stable_root(state, interval, b):
                     return fail(
@@ -366,16 +361,16 @@ def check_lock_discipline(trace):
     if not trace.decisions:
         return CheckerVerdict("lock", "skipped",
                               witness={"reason": "no decisions"})
-    d = sc.d_bound
-    roots = sc.facts.roots
-    if not all(rr.is_single for rr in roots):
+    if sc.facts.multi_root_rounds:
         return CheckerVerdict("lock", "skipped",
                               witness={"reason": "multi-root round"})
+    d = sc.d_bound
+    roots = sc.facts.roots
 
     rf = min(r for _, r in trace.decisions.values())
-    deciders = sorted(p for p, (_, r) in trace.decisions.items() if r == rf)
-    p0 = deciders[0]
-    lock_round = trace.cons_states[rf - 1][p0].lock_round
+    p0 = min(p for p, (_, r) in trace.decisions.items() if r == rf)
+    final = trace.records[rf - 1].cons
+    lock_round = final[p0].lock_round
 
     def fail(rule, **witness):
         return CheckerVerdict(
@@ -395,30 +390,20 @@ def check_lock_discipline(trace):
         if roots[x - 1].roots[0] != members:
             return fail("not_vertex_stable", round=x)
 
-    locked_at = {
-        p
-        for rec in trace.records
-        if rec.round == lock_round
-        for p, evs in rec.events.items()
-        if any(e["kind"] == "lock" for e in evs)
-    }
-    if not members <= locked_at:
-        return fail("members_not_locked",
-                    missing=sorted(members - locked_at))
-    for rec in trace.records:
-        if lock_round <= rec.round <= rf:
-            for p, evs in rec.events.items():
-                if p not in members and any(
-                    e["kind"] == "lock" for e in evs
-                ):
-                    return fail("outsider_lock", process=p, round=rec.round)
+    def lockers(r):
+        return [p for p, evs in trace.records[r - 1].events.items()
+                if any(e["kind"] == "lock" for e in evs)]
+
+    missing = members - set(lockers(lock_round))
+    if missing:
+        return fail("members_not_locked", missing=sorted(missing))
+    for r in range(lock_round, rf + 1):
+        for p in lockers(r):
+            if p not in members:
+                return fail("outsider_lock", process=p, round=r)
 
     value = trace.decisions[p0][0]
-    pairs = {
-        (trace.cons_states[rf - 1][p].lock_round,
-         trace.cons_states[rf - 1][p].x)
-        for p in members
-    }
+    pairs = {(final[p].lock_round, final[p].x) for p in members}
     if pairs != {(lock_round, value)}:
         return fail("proposals_differ", pairs=sorted(pairs), value=value)
     return CheckerVerdict("lock", "pass")
@@ -437,10 +422,13 @@ def run_checkers(trace, full=True):
     return verdicts
 
 
+# The verdict names run_checkers produces, in its order; the last two only
+# with full=True.
+CHECKER_NAMES = ("agreement", "validity", "termination", "approx", "lock")
+
 REPORT_COLUMNS = [
     "seed", "generator", "n", "D", "r_ST", "first_decision",
-    "last_decision", "bound", "agreement", "validity", "termination",
-    "approx", "lock",
+    "last_decision", "bound", *CHECKER_NAMES,
 ]
 
 
@@ -462,7 +450,7 @@ def summarize(trace):
         else "NONE",
     }
     by_name = {v.name: v.status for v in trace.verdicts}
-    for name in ("agreement", "validity", "termination", "approx", "lock"):
+    for name in CHECKER_NAMES:
         row[name] = by_name.get(name, "skipped")
     return row
 

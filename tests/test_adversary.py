@@ -133,9 +133,15 @@ class TestShortWindow:
             assert causal_distance(sc.seq, r, 0, n - 1) >= d
 
     def test_window_one_round_too_short(self):
+        # One root component over exactly [3, 4], D = 2 rounds, and every
+        # stable run is D-bounded; the 4D + 2 window search finds nothing.
         sc = gen_short_window(6, 2, horizon=10, r_st=3)
-        assert find_r_st(sc.seq, 2, window_len=3).r_st is None
-        assert find_r_st(sc.seq, 2, window_len=2).r_st == 3
+        roots = [rr.roots for rr in sc.facts.roots]
+        window = roots[2]
+        assert len(window) == 1 and roots[3] == window
+        assert roots[1] != window and roots[4] != window
+        assert sc.facts.unbounded_intervals == []
+        assert sc.facts.r_st is None
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):

@@ -69,6 +69,9 @@ def test_infeasible_generate(tmp_path, capsys):
     ["--gen", "static_line", "--horizon", "0"],
     ["--gen", "rotating_roots", "--d", "0", "--horizon", "5"],
     ["--gen", "static_star", "--horizon", "5", "--out", "missing/sc.json"],
+    ["--gen", "short_window", "--n", "6", "--d", "2", "--horizon", "14",
+     "--r-st", "0"],
+    ["--gen", "complete_then_rings", "--horizon", "0"],
 ])
 def test_generate_usage_errors_exit_2(flags, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -18,18 +18,19 @@ def never(interval):
 
 def test_init():
     assert cons_init(7) == ConsensusState(x=7, locked=False, lock_round=0,
-                                          decided=False, decision=None)
+                                          decision=None)
 
 
 def test_emit_lock_vs_decide():
     assert cons_emit(ConsensusState(x=5, locked=True, lock_round=3)) == \
         LockMessage(lock_round=3, x=5)
-    assert cons_emit(ConsensusState(x=5, decided=True)) == DecideMessage(x=5)
+    assert cons_emit(ConsensusState(x=5, decision=(5, 4))) == \
+        DecideMessage(x=5)
     assert cons_emit(cons_init(9)) == LockMessage(lock_round=0, x=9)
 
 
 def test_decided_state_is_absorbing():
-    state = ConsensusState(x=5, decided=True, decision=(5, 4))
+    state = ConsensusState(x=5, decision=(5, 4))
     new, events = cons_step(state, 6, [DecideMessage(x=9)], always, 2)
     assert new == state and events == []
 

@@ -36,9 +36,7 @@ from dynconsensus.harness import REPORT_COLUMNS, CheckerVerdict
 def three_cycle(horizon=12, inputs=(1, 5, 3), d=2):
     g = RoundGraph(3, [(0, 1), (1, 2), (2, 0)])
     return Scenario(
-        n=3,
         d_bound=d,
-        horizon=horizon,
         inputs=inputs,
         seq=GraphSequence(3, [g] * horizon),
         meta={"generator": "manual", "seed": 0},
@@ -47,9 +45,7 @@ def three_cycle(horizon=12, inputs=(1, 5, 3), d=2):
 
 def singleton(horizon=6, value=9):
     return Scenario(
-        n=1,
         d_bound=1,
-        horizon=horizon,
         inputs=(value,),
         seq=GraphSequence(1, [RoundGraph(1)] * horizon),
         meta={"generator": "manual", "seed": 0},
@@ -66,8 +62,8 @@ class TestRun:
     def test_three_cycle_lock_at_r_st_plus_d_plus_1(self):
         trace = run(three_cycle())
         locks = {
-            (p, rec.round)
-            for rec in trace.records
+            (p, r)
+            for r, rec in enumerate(trace.records, start=1)
             for p, evs in rec.events.items()
             if any(e["kind"] == "lock" for e in evs)
         }
@@ -88,7 +84,7 @@ class TestRun:
             for r in range(1, sc.horizon + 1):
                 g = sc.seq.round(r)
                 for q in range(sc.n):
-                    state = trace.approx_states[r - 1][q]
+                    state = trace.records[r - 1].approx[q]
                     edges = state.edges
                     heard = {
                         u for u in range(sc.n)
@@ -99,7 +95,7 @@ class TestRun:
     def test_deciders_keep_flooding(self):
         # After everyone decides, states stay frozen to the end of the run.
         trace = run(three_cycle(horizon=12))
-        final = trace.cons_states[-1]
+        final = trace.records[-1].cons
         assert all(st.decided and st.x == 5 for st in final)
 
     def test_crash_embedding(self):
@@ -124,9 +120,7 @@ class TestRun:
                 for t, g in enumerate(base.seq.rounds, start=1)
             ]
             sc = Scenario(
-                n=base.n,
                 d_bound=base.d_bound,
-                horizon=base.horizon,
                 inputs=base.inputs,
                 seq=GraphSequence(base.n, rounds),
                 meta={"generator": "crash", "seed": 8},
@@ -137,8 +131,8 @@ class TestRun:
             for p in range(base.n):
                 if p == q:
                     continue
-                assert a.cons_states[r][p] == b.cons_states[r][p]
-                assert a.approx_states[r][p] == b.approx_states[r][p]
+                assert a.records[r].cons[p] == b.records[r].cons[p]
+                assert a.records[r].approx[p] == b.records[r].approx[p]
 
 
 class TestCheckers:
@@ -183,10 +177,10 @@ class TestCheckers:
 
     def test_approx_subset_fault_injection(self):
         trace = run(three_cycle())
-        state = trace.approx_states[5][0]
+        state = trace.records[5].approx[0]
         forged = dict(state.edges)
         forged[(2, 1)] = 1 << 3  # (2 -> 1) never exists in the 3-cycle
-        trace.approx_states[5][0] = ApproxState.from_edges(
+        trace.records[5].approx[0] = ApproxState.from_edges(
             owner=0, vertices=state.vertices | {2, 1}, edges=forged
         )
         verdict = check_approx_invariants(trace)
@@ -197,10 +191,10 @@ class TestCheckers:
         # Rounds are 1-based: a label-0 slice is a verdict, not a crash in
         # the round-graph lookup.
         trace = run(gen_stable_window(seed=1, n=3, d_bound=2, r_st=2))
-        state = trace.approx_states[5][0]
+        state = trace.records[5].approx[0]
         forged = dict(state.edges)
         forged[(2, 0)] = forged.get((2, 0), 0) | 1  # label 0
-        trace.approx_states[5][0] = ApproxState.from_edges(
+        trace.records[5].approx[0] = ApproxState.from_edges(
             owner=0, vertices=state.vertices, edges=forged
         )
         verdict = check_approx_invariants(trace)
@@ -212,11 +206,11 @@ class TestCheckers:
 
     def test_approx_forged_vertex_beyond_n_fails_subset(self):
         trace = run(three_cycle())
-        state = trace.approx_states[5][0]
+        state = trace.records[5].approx[0]
         forged = dict(state.edges)
         forged[(2, 9)] = 1 << 4  # vertices 7 and 9 do not exist for n = 3
         forged[(1, 7)] = 1 << 4
-        trace.approx_states[5][0] = ApproxState.from_edges(
+        trace.records[5].approx[0] = ApproxState.from_edges(
             owner=0, vertices=state.vertices | {7, 9}, edges=forged
         )
         verdict = check_approx_invariants(trace)
@@ -231,18 +225,18 @@ class TestCheckers:
         # recorded directly, so the forged state keeps only (3 -> 0).
         g = RoundGraph(4, [(1, 0), (2, 0), (3, 0), (0, 1)])
         sc = Scenario(
-            n=4, d_bound=2, horizon=4, inputs=(1, 2, 3, 4),
+            d_bound=2, inputs=(1, 2, 3, 4),
             seq=GraphSequence(4, [g] * 4),
             meta={"generator": "manual", "seed": 0},
         )
         trace = run(sc)
-        state = trace.approx_states[2][0]
+        state = trace.records[2].approx[0]
         forged = dict(state.edges)
         for e in ((1, 0), (2, 0)):
             forged[e] &= ~(1 << 3)
             if not forged[e]:
                 del forged[e]
-        trace.approx_states[2][0] = ApproxState.from_edges(
+        trace.records[2].approx[0] = ApproxState.from_edges(
             owner=0, vertices=state.vertices, edges=forged
         )
         verdict = check_approx_invariants(trace)
@@ -262,10 +256,10 @@ class TestCheckers:
     def test_pruned_forged_edge_in_retained_slice(self):
         trace = run(gen_static_star(4, 30), prune=True)
         r, t = 21, 20  # round 21 retains slices >= 21 - 4D = 12
-        state = trace.approx_states[r - 1][0]
+        state = trace.records[r - 1].approx[0]
         forged = dict(state.edges)
         forged[(1, 2)] = 1 << t  # the star has no edge 1 -> 2
-        trace.approx_states[r - 1][0] = ApproxState.from_edges(
+        trace.records[r - 1].approx[0] = ApproxState.from_edges(
             owner=0, vertices=state.vertices, edges=forged,
             pruned_before=state.pruned_before,
         )
@@ -277,10 +271,11 @@ class TestCheckers:
         # Pruning to 2D+1 slices drops slices the 4D+1 window must keep.
         sc = gen_static_star(4, 30)
         trace = run(sc, prune=True)
-        for t, states in enumerate(trace.approx_states, start=1):
+        for t, rec in enumerate(trace.records, start=1):
             keep_after = t - 2 * sc.d_bound
             if keep_after > 0:
-                states[:] = [approx_prune(st, keep_after) for st in states]
+                rec.approx[:] = [approx_prune(st, keep_after)
+                                 for st in rec.approx]
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness["rule"] == "detection_latency"
@@ -291,9 +286,9 @@ class TestCheckers:
         # previous state, so it must be checked even though it did not
         # change in value.
         trace = run(gen_stable_window(seed=1, n=5, d_bound=2, r_st=3))
-        state = trace.approx_states[7][0]
+        state = trace.records[7].approx[0]
         slices = {s: m for s, m in state.slices.items() if s != 4}
-        trace.approx_states[7][0] = ApproxState(
+        trace.records[7].approx[0] = ApproxState(
             state.owner, state.vertices, slices, state.pruned_before)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
@@ -306,9 +301,9 @@ class TestCheckers:
         # empty graphs, not as no data: every completed slice is rechecked.
         trace = run(gen_stable_window(seed=1, n=5, d_bound=2, r_st=3),
                     prune=True)
-        state = trace.approx_states[-1][0]
+        state = trace.records[-1].approx[0]
         assert state.pruned_before > 1
-        trace.approx_states[-1][0] = ApproxState(
+        trace.records[-1].approx[0] = ApproxState(
             state.owner, state.vertices, state.slices, 0)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
@@ -337,22 +332,22 @@ class TestCheckers:
         trace = run(sc)
         rf = min(r for _, r in trace.decisions.values())
         decider = min(p for p, (_, r) in trace.decisions.items() if r == rf)
-        lock_round = trace.cons_states[rf - 1][decider].lock_round
+        lock_round = trace.records[rf - 1].cons[decider].lock_round
+        rec = trace.records[lock_round - 1]
         members = {
             p
-            for rec in trace.records
-            if rec.round == lock_round
             for p, evs in rec.events.items()
             if any(e["kind"] == "lock" for e in evs)
         }
         outsider = min(set(range(sc.n)) - members)
-        rec = trace.records[lock_round - 1]
         rec.events.setdefault(outsider, []).append(
             {"kind": "lock", "round": lock_round}
         )
         verdict = check_lock_discipline(trace)
         assert verdict.status == "fail"
         assert verdict.witness["rule"] == "outsider_lock"
+        assert verdict.witness["round"] == lock_round
+        assert verdict.witness["process"] == outsider
 
     def test_lock_discipline_skipped_without_decisions(self):
         trace = run(gen_rotating_roots(seed=3, n=4, d_bound=2, horizon=15))
@@ -466,7 +461,7 @@ def _reference_check_approx_invariants(trace):
     for p in range(n):
         prev = {}
         for r in range(1, horizon + 1):
-            state = trace.approx_states[r - 1][p]
+            state = trace.records[r - 1].approx[p]
             changed = [t for t, m in state.slices.items() if prev.get(t) != m]
             prev = state.slices
             for t in sorted(changed):
@@ -498,14 +493,14 @@ def _reference_check_approx_invariants(trace):
             continue
         for p in sorted(members):
             for t in range(a + d, min(b, a + retained) + 1):
-                comp = detected_component(trace.approx_states[t - 1][p], a)
+                comp = detected_component(trace.records[t - 1].approx[p], a)
                 if comp != members:
                     return fail("detection_latency", process=p, round=t,
                                 slice=a, detected=sorted(comp),
                                 expected=sorted(members))
             if b - d >= a:
                 interval = (max(a, b - retained), b - d)
-                if not in_stable_root(trace.approx_states[b - 1][p],
+                if not in_stable_root(trace.records[b - 1].approx[p],
                                       interval, b):
                     return fail("stable_predicate", process=p,
                                 interval=list(interval), round=b)
@@ -554,7 +549,7 @@ def forged_runs(draw):
     for _ in range(horizon - 1):
         graphs_.append(graphs_[-1] if draw(st.booleans()) else
                        RoundGraph(n, draw(st.sets(st.sampled_from(pairs)))))
-    sc = Scenario(n=n, d_bound=d, horizon=horizon, inputs=tuple(range(n)),
+    sc = Scenario(d_bound=d, inputs=tuple(range(n)),
                   seq=GraphSequence(n, graphs_), meta={})
     trace = run(sc, prune=draw(st.booleans()))
     rng = draw(st.randoms(use_true_random=False))
@@ -565,9 +560,8 @@ def forged_runs(draw):
         # Labels outside [1, r] only from `bad_label`: 0 or the future.
         t = (draw(st.sampled_from([0, r + 1, r + 3])) if kind == "bad_label"
              else draw(st.integers(1, r)))
-        for states in trace.approx_states[r - 1:r - 1 + draw(
-                st.integers(1, 3))]:
-            states[p] = _forge(states[p], kind, t, rng)
+        for rec in trace.records[r - 1:r - 1 + draw(st.integers(1, 3))]:
+            rec.approx[p] = _forge(rec.approx[p], kind, t, rng)
     return trace
 
 
