@@ -253,26 +253,54 @@ def approx_restrict(state, s):
     return frozenset((state.owner,)).union(*edges), edges
 
 
+@lru_cache(maxsize=None)  # one per power-of-two vertex bound; 4.5 MB at 256
+def _degree_masks(bound):
+    """For each vertex v < bound, the pair bits of its in-edges u -> v and of
+    its out-edges v -> u, u != v, u < bound.  Those with u < v sit in shell
+    v; each shell u above v holds one of each, at u*u + u + v and u*u + v."""
+    squares = sum(1 << u * u for u in range(bound))
+    diagonal = sum(1 << u * u + u for u in range(bound))
+    table = []
+    for v in range(bound):
+        low, above = (1 << v) - 1, (v + 1) ** 2  # above: shell v + 1 onwards
+        table.append((low << v * v | (diagonal << v) >> above << above,
+                      low << v * v + v | (squares << v) >> above << above))
+    return tuple(table)
+
+
 # One long pruned run queries up to 8,218 distinct slices; 4096 entries keep
 # 87% of an unbounded memo's hits there, 1024 keep 41%.
 @lru_cache(maxsize=4096)
 def _strong(m):
-    """The vertex set of the slice with edge bits m != 0 if it is strongly
+    """The vertex set of the slice with edge bits m if it is strongly
     connected, else empty; a single vertex whose only edge is a self-loop is
     not.  It does not depend on the owner, so every process shares it.
-    Shell k yields `into[k]`, the senders u < k of edges u -> k, and
-    `out_of[k]`, the receivers u < k of edges k -> u."""
+
+    Almost every slice is not strongly connected, so two necessary
+    conditions reject most of them before the reach sweeps.  The top
+    vertex k, whose shell holds m's highest bit, must have both an in-edge
+    and an out-edge; all its neighbours are lower, so one shift reads them.
+    Then every vertex below k must have an in-edge iff it has an out-edge,
+    one AND each against the `_degree_masks` of the next power of two above
+    k.  Only then does the reach test run: shell k yields `into[k]`, the
+    senders u < k of edges u -> k, and `out_of[k]`, the receivers u < k of
+    edges k -> u."""
+    top = isqrt(max(m.bit_length() - 1, 0))  # m = 0 fails the next test
+    shell, low = m >> top * top, (1 << top) - 1
+    if not shell & low or not shell >> top & low:
+        return frozenset()
+    for ins, outs in _degree_masks(1 << top.bit_length())[:top]:
+        if (not m & ins) != (not m & outs):
+            return frozenset()
     into, out_of = [], []
     vmask = 0
-    for k in range(isqrt(m.bit_length()) + 1):
+    for k in range(top + 1):
         shell = m >> k * k & ((2 << 2 * k) - 1)
         into.append(shell & ((1 << k) - 1))
         out_of.append(shell >> k & ((1 << k) - 1))
         if shell:
             vmask |= 1 << k | into[k] | out_of[k]
     start = vmask & -vmask
-    if vmask == start:  # a single vertex: only a self-loop
-        return frozenset()
     # Forward reach from the lowest vertex, then backward reach to it.
     for down, up in ((out_of, into), (into, out_of)):
         seen, last = start, 0

@@ -43,24 +43,38 @@ NEEDS_HORIZON = ("rotating_roots", "static_line", "static_star",
 
 
 def _build_scenario(args, seed):
+    """The scenario `--gen` makes from the flags.  Some generators fix n or
+    D themselves; an explicit `--n` or `--d` they do not honour is refused,
+    not dropped."""
+    sc = _generate(args, seed)
+    for name, asked, got in (("n", args.n, sc.n), ("D", args.d, sc.d_bound)):
+        if asked is not None and asked != got:
+            raise adv.InfeasibleError(f"--gen {args.gen} gives {name}={got}, "
+                                      f"not --{name.lower()} {asked}")
+    return sc
+
+
+def _generate(args, seed):
     gen = args.gen
+    n = 4 if args.n is None else args.n
+    d = 2 if args.d is None else args.d
     if args.horizon is None and gen in NEEDS_HORIZON:
         raise adv.InfeasibleError(f"--gen {gen} needs --horizon")
     if gen == "stable_window":
         return adv.gen_stable_window(
-            seed=seed, n=args.n, d_bound=args.d, r_st=args.r_st,
+            seed=seed, n=n, d_bound=d, r_st=args.r_st,
             window_len=args.window_len, horizon=args.horizon,
         )
     if gen == "rotating_roots":
         return adv.gen_rotating_roots(
-            seed=seed, n=args.n, d_bound=args.d, horizon=args.horizon
+            seed=seed, n=n, d_bound=d, horizon=args.horizon
         )
     if gen == "static_line":
-        return adv.gen_static_line(args.n, args.horizon)
+        return adv.gen_static_line(n, args.horizon)
     if gen == "static_star":
-        return adv.gen_static_star(args.n, args.horizon)
+        return adv.gen_static_star(n, args.horizon)
     if gen == "reversing_line":
-        return adv.gen_reversing_line(args.n, args.kappa, args.horizon)
+        return adv.gen_reversing_line(n, args.kappa, args.horizon)
     if gen == "two_roots":
         return adv.gen_two_roots(args.n0, args.n1, args.horizon)
     if gen == "complete_then_rings":
@@ -69,11 +83,11 @@ def _build_scenario(args, seed):
         )
     if gen == "short_window":
         return adv.gen_short_window(
-            args.n, args.d, args.horizon, r_st=args.r_st, seed=seed
+            n, d, args.horizon, r_st=args.r_st, seed=seed
         )
     if gen == "expander":
         cfg = adv.ExpanderConfig(
-            n=args.n, root_size=args.root_size, degree=args.degree
+            n=n, root_size=args.root_size, degree=args.degree
         )
         return adv.gen_expander(cfg, seed, args.horizon)
     raise adv.InfeasibleError(f"unknown generator: {gen}")
@@ -156,6 +170,9 @@ def cmd_oracle(args):
 
 
 def cmd_batch(args):
+    if args.count < 0:
+        print(f"usage error: --count {args.count} is negative", file=sys.stderr)
+        return EXIT_USAGE
     try:
         scenarios = [
             _build_scenario(args, args.seed + i) for i in range(args.count)
@@ -196,8 +213,9 @@ def cmd_report(args):
 def _add_generator_flags(parser):
     """The flags `_build_scenario` reads; `batch` scenario i uses seed + i."""
     parser.add_argument("--gen", required=True)
-    parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--d", type=int, default=2)
+    # None: the generator's own n, or 4; its own D, or 2.
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--d", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--horizon", type=int, default=None)
     parser.add_argument("--r-st", dest="r_st", type=int, default=2)

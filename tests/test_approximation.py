@@ -16,7 +16,7 @@ from dynconsensus import (
     detected_component,
     in_stable_root,
 )
-from dynconsensus.approximation import EdgeCursor, _strong
+from dynconsensus.approximation import EdgeCursor, _degree_masks, _pair, _strong
 from dynconsensus.harness import approx_digest
 
 
@@ -301,6 +301,47 @@ def test_detected_component_shared_across_owners(case):
                     else frozenset()
                 )
                 assert detected_component(state, s) == expected
+
+
+@st.composite
+def slice_edge_sets(draw):
+    """A nonempty edge set over vertex ids 0..9, self-loops allowed: random
+    edges plus a cycle through random distinct vertices, so that strongly
+    connected slices of every size and top vertex are common."""
+    edges = draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))))
+    cycle = draw(st.lists(st.integers(0, 9), unique=True,
+                          min_size=0 if edges else 1))
+    return edges | set(zip(cycle, cycle[1:] + cycle[:1]))
+
+
+@given(slice_edge_sets())
+@example({(0, 1), (1, 0), (2, 3), (3, 2)})
+@example({(0, 1), (1, 2), (2, 0), (3, 3)})
+@example({(0, 1), (1, 2), (2, 0), (0, 3)})
+@example({(0, 1), (1, 2), (2, 0), (3, 0)})
+@example({(4, 4)})
+@example({(0, 5), (5, 0)})
+def test_strong_matches_set_reference(edges):
+    # `_strong` rejects a slice whose top vertex lacks an in- or out-edge,
+    # then one where some vertex has an in-edge but no out-edge or the
+    # reverse, before its reach test.  The examples: two disjoint 2-cycles
+    # pass both filters but are not strongly connected; a 3-cycle below a
+    # top vertex with only a self-loop; a cycle plus a top vertex with only
+    # an in-edge, or only an out-edge; a lone self-loop; a 2-cycle between
+    # the top vertex and vertex 0, which is strongly connected.
+    m = sum(1 << _pair(u, v) for u, v in edges)
+    vertices = {x for e in edges for x in e}
+    expected = vertices if _strongly_connected(vertices, edges) else set()
+    assert _strong(m) == expected
+
+
+def test_degree_masks_match_pair_layout():
+    for bound in (1, 2, 4, 8, 16):
+        assert _degree_masks(bound) == tuple(
+            (sum(1 << _pair(u, v) for u in range(bound) if u != v),
+             sum(1 << _pair(v, u) for u in range(bound) if u != v))
+            for v in range(bound)
+        )
 
 
 def _engine_chain(n, graphs, window):

@@ -249,3 +249,40 @@ def test_identical_invocations_identical_bytes(tmp_path, capsys):
                      sc.read_bytes()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
+
+
+@pytest.mark.parametrize("command", ["generate", "batch"])
+@pytest.mark.parametrize("flags, refused", [
+    (["--gen", "static_line", "--n", "5", "--d", "1", "--horizon", "10"],
+     "gives D=4, not --d 1"),
+    (["--gen", "complete_then_rings", "--n", "7"], "gives n=4, not --n 7"),
+    (["--gen", "two_roots", "--n", "4", "--horizon", "10"],
+     "gives n=5, not --n 4"),
+    (["--gen", "static_line", "--n", "5", "--d", "4", "--horizon", "10"], None),
+    (["--gen", "complete_then_rings", "--n", "4", "--d", "1"], None),
+], ids=["line-d", "rings-n", "two-roots-n", "line-d-fixed", "rings-fixed"])
+def test_flags_a_generator_fixes(command, flags, refused, tmp_path,
+                                 monkeypatch, capsys):
+    # An explicit --n or --d that the generator cannot honour is refused;
+    # one equal to the value it fixes is accepted.
+    monkeypatch.chdir(tmp_path)
+    extra = ["--count", "2"] if command == "batch" else []
+    code = main([command] + flags + extra + ["--out", "out"])
+    captured = capsys.readouterr()
+    if refused:
+        assert code == 2
+        assert captured.err.startswith("infeasible:") and refused in captured.err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code in (0, 1) and "Traceback" not in captured.err
+        assert (tmp_path / "out").exists()
+
+
+def test_batch_negative_count_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code = main(["batch", "--gen", "static_star", "--horizon", "10",
+                 "--count", "-3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--count" in err and "Traceback" not in err
+    assert not out.exists()
