@@ -9,8 +9,10 @@ so they can be snapshotted into messages by reference.
 
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
-(`_strong`, `_allowed_mask`, `_label_text`) are bounded module-level caches
-that every process shares.  Edge-major views are for reading traces:
+(`_strong`, `_allowed_mask`, `_label_text`, `_edge`) are bounded
+module-level caches that every process shares, and a round's snapshot is
+validated once however many processes receive it.  Edge-major views are
+for reading traces:
 `ApproxState.edges` transposes one state, and an `EdgeCursor` walks one
 process's states in round order, moving its transposition by the slices
 that changed from state to state.
@@ -19,7 +21,7 @@ that changed from state to state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .graphs import _bits
@@ -77,19 +79,26 @@ def _label_text(mask):
     return f"[{', '.join(map(str, _bits(mask)))}]"
 
 
+@lru_cache(maxsize=1 << 16)  # every edge between vertex ids below 256
+def _edge(b):
+    """The edge (u, v) with pair bit b.  Every `EdgeCursor` decodes through
+    it, since the processes of a scenario read the same edges."""
+    return _unpair(b)
+
+
 class EdgeCursor:
     """The slice -> edge transposition of one process's states, read in
     round order.  Consecutive states differ in a few slices, so moving to
     the next state costs the changed bits plus one pass over the edges, not
     a pass over every label bit; any other order is correct, only slower.
-    `masks[b]` is the label mask of the edge with pair bit b and `edge[b]`
-    that edge (u, v); `frags[(u, v)]` is the edge's JSON fragment
+    `masks[b]` is the label mask of the edge with pair bit b, which is
+    `_edge(b)`; `frags[(u, v)]` is the edge's JSON fragment
     "[u, v, [l1, ..., lk]]" and `order` the sorted list of the edges."""
 
-    __slots__ = ("slices", "masks", "edge", "frags", "order")
+    __slots__ = ("slices", "masks", "frags", "order")
 
     def __init__(self):
-        self.slices, self.masks, self.edge, self.frags = {}, {}, {}, {}
+        self.slices, self.masks, self.frags = {}, {}, {}
         self.order = []
 
     def edges_json(self, slices):
@@ -114,20 +123,17 @@ class EdgeCursor:
                 old = masks.get(b, 0)
                 touched.setdefault(b, old)
                 masks[b] = old ^ label
-        edge, frags, order, vanished = self.edge, self.frags, self.order, False
-        appeared = []
+        frags, order, vanished, appeared = self.frags, self.order, False, []
         for b, before in touched.items():
+            e = _edge(b)
             m = masks[b]
             if not m:
-                del masks[b], frags[edge[b]]
+                del masks[b], frags[e]
                 vanished = True
                 continue
             if not before:
-                if b not in edge:
-                    edge[b] = _unpair(b)
-                appeared.append(edge[b])
-            u, v = e = edge[b]
-            frags[e] = f"[{u}, {v}, {_label_text(m)}]"
+                appeared.append(e)
+            frags[e] = f"[{e[0]}, {e[1]}, {_label_text(m)}]"
         if vanished:
             order = [e for e in order if e in frags]
         if appeared:
@@ -185,10 +191,43 @@ class ApproxState:
 
 @dataclass(frozen=True)
 class ApproxMessage:
-    """A full snapshot of the sender's approximation state."""
+    """A full snapshot of the sender's approximation state.
+
+    Whether the snapshot is well formed depends on the round it is received
+    in only through its label range, and a round's snapshot reaches every
+    out-neighbour of its sender.  So the round-independent facts are cached
+    properties, computed by the first receiver and read by the others:
+    `_label_span` checks the owner and holds the lowest and highest label,
+    and `_edge_fault` names the first self-loop or edge with an endpoint
+    outside the snapshot's vertices.  The graph must not be mutated once it
+    is sent."""
 
     sender: int
     graph: ApproxState
+
+    @cached_property
+    def _label_span(self):
+        """(lowest, highest) label, (1, 0) without labels; raises if the
+        owner is not the sender or not one of the vertices."""
+        g = self.graph
+        if self.sender != g.owner or g.owner not in g.vertices:
+            raise MalformedMessageError(
+                f"snapshot owner mismatch from {self.sender}")
+        return min(g.slices, default=1), max(g.slices, default=0)
+
+    @cached_property
+    def _edge_fault(self):
+        """The error text for a self-loop or an edge with an endpoint
+        outside the vertex set, else None.  The witness is the lowest such
+        edge of the first faulty slice."""
+        g = self.graph
+        bad_bits = ~_allowed_mask(g.vertices)
+        for m in g.slices.values():
+            bad = m & bad_bits
+            if bad:
+                (u, v), = _decode(bad & -bad)
+                kind = "self-loop" if u == v else "unknown endpoint in"
+                return f"{kind} {u}->{v} from {self.sender}"
 
 
 def approx_init(p):
@@ -202,19 +241,18 @@ def approx_emit(state):
 
 
 def _validate_snapshot(msg, r):
-    g = msg.graph
-    if msg.sender != g.owner or g.owner not in g.vertices:
-        raise MalformedMessageError(f"snapshot owner mismatch from {msg.sender}")
-    if min(g.slices, default=1) < 1 or max(g.slices, default=0) >= r:
+    """Raise `MalformedMessageError` unless `msg` is a well-formed round-r
+    snapshot, checking, in this order: the owner, the labels within
+    [1, r - 1], and every edge between two distinct vertices of the
+    snapshot.  Only the label comparison is made per call; the rest is
+    cached on the message."""
+    lo, hi = msg._label_span
+    if lo < 1 or hi >= r:
         raise MalformedMessageError(
             f"snapshot from {msg.sender} carries labels outside [1, {r - 1}]")
-    allowed = _allowed_mask(g.vertices)
-    for m in g.slices.values():
-        bad = m & ~allowed
-        if bad:
-            (u, v), = _decode(bad & -bad)
-            kind = "self-loop" if u == v else "unknown endpoint in"
-            raise MalformedMessageError(f"{kind} {u}->{v} from {msg.sender}")
+    fault = msg._edge_fault
+    if fault:
+        raise MalformedMessageError(fault)
 
 
 def approx_absorb(state, r, received):
@@ -234,9 +272,14 @@ def approx_absorb(state, r, received):
         direct |= 1 << _pair(msg.sender, state.owner)
         if not g.vertices <= vertices:
             vertices = vertices | g.vertices
+        # Slices are shared by reference: a new one is taken as it is, and
+        # one that is already the receiver's int needs no union.
         for s, m in g.slices.items():
-            old = slices.get(s, 0)
-            if old | m != old:  # an unchanged slice keeps its shared int
+            old = slices.get(s)
+            if old is None:
+                if m:
+                    slices[s] = m
+            elif old is not m and old | m != old:
                 slices[s] = old | m
     slices[r] = slices.get(r, 0) | direct
     return ApproxState(state.owner, vertices, slices, state.pruned_before)

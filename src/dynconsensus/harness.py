@@ -254,6 +254,15 @@ def check_approx_invariants(trace):
     misses an in-edge iff the OR of their `col[w]` has bits outside m.  Bits
     are decoded only for a witness, the smallest offending edge.
 
+    A slice that only gained bits since the process's previous state is
+    tested on the added bits alone: the old bits passed, so every column
+    they touch lies inside them, and the slice passes iff the added bits
+    are a union of whole columns.  `col_of` maps an edge's bit to its
+    receiver's column; the test XORs out the column of the highest bit left
+    and gives up when that column reaches above it, so what it clears are
+    disjoint columns inside the added bits.  A slice that lost bits, or
+    fails this test, runs the all-columns loop, which finds the witness.
+
     Soundness is checked on a completed slice s < r only when its verdict
     can differ from round r - 1's: a slice that changed, appeared or
     disappeared, and the slice r - 1 just completed.  A detected component
@@ -273,12 +282,17 @@ def check_approx_invariants(trace):
     roots = sc.facts.roots
 
     def encode(g):
-        """(whole-graph mask, per-receiver in-edge masks) of a round graph;
-        every edge's bit is in exactly one receiver's mask."""
+        """(whole-graph mask, per-receiver in-edge masks, {edge bit: its
+        receiver's mask}) of a round graph; every edge's bit is in exactly
+        one receiver's mask."""
         in_masks = g.in_masks()
-        cols = [sum(1 << ap._pair(u, w) for u in _bits(in_masks[w]))
-                for w in range(n)]
-        return sum(cols), cols
+        cols, col_of = [], {}
+        for w in range(n):
+            bits = [ap._pair(u, w) for u in _bits(in_masks[w])]
+            col = sum(1 << b for b in bits)
+            cols.append(col)
+            col_of.update(dict.fromkeys(bits, col))
+        return sum(cols), cols, col_of
 
     masks = [None] + [encode(seq.round(t)) for t in range(1, horizon + 1)]
 
@@ -295,12 +309,23 @@ def check_approx_invariants(trace):
                 if not 1 <= t <= r:
                     rule = "label_from_future" if t > r else "label_out_of_range"
                     return fail(rule, process=p, round=r, slice=t)
-                graph, cols = masks[t]
+                graph, cols, col_of = masks[t]
                 m = slices[t]
                 forged = m & ~graph
                 if forged:
                     return fail("subset", process=p, round=r, slice=t,
                                 edge=list(min(ap._decode(forged))))
+                old = prev.get(t, 0)
+                if not old & ~m:
+                    rest = m ^ old
+                    while rest:
+                        top = rest.bit_length()
+                        col = col_of[top - 1]
+                        if col.bit_length() != top:
+                            break
+                        rest ^= col
+                    else:
+                        continue
                 need = 0
                 for col in cols:
                     if m & col:

@@ -7,16 +7,28 @@ from hypothesis import example, given, strategies as st
 from dynconsensus import (
     ApproxMessage,
     ApproxState,
+    GraphSequence,
     MalformedMessageError,
+    RoundGraph,
+    Scenario,
     approx_absorb,
     approx_emit,
     approx_init,
     approx_prune,
     approx_restrict,
+    check_approx_invariants,
     detected_component,
     in_stable_root,
+    run,
 )
-from dynconsensus.approximation import EdgeCursor, _degree_masks, _pair, _strong
+from dynconsensus.approximation import (
+    EdgeCursor,
+    _allowed_mask,
+    _decode,
+    _degree_masks,
+    _pair,
+    _strong,
+)
 from dynconsensus.harness import approx_digest
 
 
@@ -85,6 +97,146 @@ def test_malformed_snapshots_rejected():
     for msg, rule in cases:
         with pytest.raises(MalformedMessageError, match=rule):
             approx_absorb(approx_init(0), 2, [msg])
+
+
+def test_cached_snapshot_facts_do_not_fix_the_round():
+    # The same message objects are absorbed at rounds 2 and 6, in both
+    # orders: label 5 is outside [1, 1] but inside [1, 5].
+    state = ApproxState.from_edges(1, {0, 1}, {(0, 1): 1 << 5})
+    early, late = approx_emit(state), approx_emit(state)
+    for msg, rounds in ((early, (2, 6)), (late, (6, 2))):
+        for r in rounds:
+            if r == 2:
+                with pytest.raises(MalformedMessageError,
+                                   match=r"labels outside \[1, 1\]"):
+                    approx_absorb(approx_init(0), r, [msg])
+            else:
+                merged = approx_absorb(approx_init(0), r, [msg])
+                assert merged.edges == {(0, 1): 1 << 5, (1, 0): 1 << 6}
+
+
+def _reference_validate(msg, r):
+    """Snapshot validation as one pass per receiver, every fact recomputed:
+    the owner, then the label range, then each slice against the edges
+    allowed between distinct vertices of the snapshot."""
+    g = msg.graph
+    if msg.sender != g.owner or g.owner not in g.vertices:
+        raise MalformedMessageError(f"snapshot owner mismatch from {msg.sender}")
+    if min(g.slices, default=1) < 1 or max(g.slices, default=0) >= r:
+        raise MalformedMessageError(
+            f"snapshot from {msg.sender} carries labels outside [1, {r - 1}]")
+    allowed = _allowed_mask(g.vertices)
+    for m in g.slices.values():
+        bad = m & ~allowed
+        if bad:
+            (u, v), = _decode(bad & -bad)
+            kind = "self-loop" if u == v else "unknown endpoint in"
+            raise MalformedMessageError(f"{kind} {u}->{v} from {msg.sender}")
+
+
+def _absorb_error(received, r):
+    """(type name, text) of what `approx_absorb` raises, or None; a
+    negative vertex id makes `_allowed_mask` raise a plain ValueError."""
+    try:
+        approx_absorb(approx_init(0), r, received)
+    except ValueError as exc:  # MalformedMessageError included
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _reference_error(received, r):
+    try:
+        for msg in received:
+            _reference_validate(msg, r)
+    except ValueError as exc:  # MalformedMessageError included
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_first_fault_in_precedence_order_is_reported():
+    # Each snapshot breaks every rule from its own onwards: owner, label
+    # range, self-loop, unknown endpoint.
+    loop_and_stranger = {3: 1 << _pair(1, 1) | 1 << _pair(1, 4)}
+    cases = [
+        (ApproxMessage(2, ApproxState(1, {1}, {0: 1, **loop_and_stranger})),
+         "snapshot owner mismatch from 2"),
+        (ApproxMessage(1, ApproxState(1, {1}, {0: 1, **loop_and_stranger})),
+         "snapshot from 1 carries labels outside [1, 3]"),
+        (ApproxMessage(1, ApproxState(1, {1}, loop_and_stranger)),
+         "self-loop 1->1 from 1"),
+        (ApproxMessage(1, ApproxState(1, {1}, {1: 1 << _pair(0, 1),
+                                                2: 1 << _pair(1, 1)})),
+         "unknown endpoint in 0->1 from 1"),
+    ]
+    for msg, text in cases:
+        for _ in range(2):  # the second absorb reads the cached facts
+            assert _absorb_error([msg], 4) == ("MalformedMessageError", text)
+        assert _reference_error([msg], 4) == ("MalformedMessageError", text)
+    # Between messages, the first faulty one in delivery order wins.
+    msgs = [msg for msg, _ in cases]
+    assert _absorb_error(msgs[::-1], 4) == _reference_error(msgs[::-1], 4)
+
+
+@st.composite
+def forged_snapshots(draw):
+    """A list of one to three messages whose states are drawn directly, not
+    through `from_edges`: vertex ids in [-1, 4], so a negative one makes the
+    allowed-edge mask raise; senders that may not be owners; slice keys in
+    [-1, 6], zero values included; and edge bits over ids in [0, 5], with
+    self-loops and endpoints outside the vertex set."""
+    def message():
+        owner = draw(st.integers(0, 4))
+        sender = draw(st.sampled_from([owner, owner, owner + 1]))
+        vertices = draw(st.sets(st.integers(-1, 4), max_size=5))
+        if draw(st.booleans()):
+            vertices.add(owner)
+        slices = draw(st.dictionaries(
+            st.integers(-1, 6),
+            st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                    max_size=4).map(lambda es: sum(1 << _pair(u, v)
+                                                   for u, v in es)),
+            max_size=4,
+        ))
+        return ApproxMessage(sender, ApproxState(owner, vertices, slices))
+
+    return [message() for _ in range(draw(st.integers(1, 3)))]
+
+
+@given(forged_snapshots(), st.lists(st.integers(1, 8), min_size=1,
+                                    max_size=4))
+def test_absorb_errors_match_reference_validation(received, rounds):
+    # The same message objects are absorbed at every round in turn, so the
+    # later absorbs read facts cached by the earlier ones.
+    for r in rounds:
+        assert _absorb_error(received, r) == _reference_error(received, r)
+
+
+@pytest.mark.parametrize("dropped", [1, 2, 3])
+def test_checker_catches_a_partial_column_gained_later(dropped):
+    # Round graph: 1, 2, 3 -> 0 and 0 -> 1.  Process 1 knows slice 1 as
+    # {0 -> 1} after round 1; at round 2 it learns process 0's in-edges.
+    # The forged round-2 state gains all but one of them, so slice 1 only
+    # gained bits since round 1 and misses that one, whether its bit lies
+    # below, between or above the bits of the other two.
+    g = RoundGraph(4, [(1, 0), (2, 0), (3, 0), (0, 1)])
+    sc = Scenario(d_bound=2, inputs=(1, 2, 3, 4),
+                  seq=GraphSequence(4, [g] * 4),
+                  meta={"generator": "manual", "seed": 0})
+    trace = run(sc)
+    before = trace.records[0].approx[1].slices[1]
+    state = trace.records[1].approx[1]
+    assert before == 1 << _pair(0, 1)
+    assert state.slices[1] == before | sum(
+        1 << _pair(u, 0) for u in (1, 2, 3))
+    slices = dict(state.slices)
+    slices[1] = state.slices[1] & ~(1 << _pair(dropped, 0))
+    trace.records[1].approx[1] = ApproxState(
+        1, state.vertices, slices, state.pruned_before)
+    verdict = check_approx_invariants(trace)
+    assert verdict.witness == {
+        "rule": "in_neighborhood", "process": 1, "round": 2, "slice": 1,
+        "missing": [dropped, 0],
+    }
 
 
 def test_restrict_filters_by_label():
