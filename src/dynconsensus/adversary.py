@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx as nx
-
 from .graphs import (
     GraphSequence,
     RoundGraph,
@@ -110,14 +108,20 @@ def scenario_from_dict(data):
     rounds = data["rounds"]
     if not isinstance(rounds, list) or len(rounds) != data["horizon"]:
         raise ScenarioParseError("field rounds must list one edge set per round")
+    if not isinstance(data["meta"], dict):
+        raise ScenarioParseError("field meta must be an object")
     graphs = []
     for i, edges in enumerate(rounds, start=1):
+        if not isinstance(edges, list):
+            raise ScenarioParseError(f"rounds[{i}]: edge set must be a list")
+        if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ScenarioParseError(f"rounds[{i}]: edge must be a [u, v] pair")
+        if not all(_is_int(p) and _is_int(q) for p, q in edges):
+            raise ScenarioParseError(
+                f"rounds[{i}]: edge endpoints must be integers")
         try:
-            pairs = [(p, q) for p, q in edges]
-            if not all(_is_int(p) and _is_int(q) for p, q in pairs):
-                raise TypeError("edge endpoints must be integers")
-            graphs.append(RoundGraph(n, pairs))
-        except (ValueError, TypeError) as exc:
+            graphs.append(RoundGraph(n, edges))
+        except ValueError as exc:
             raise ScenarioParseError(f"rounds[{i}]: {exc}") from exc
     try:
         return Scenario(
@@ -471,7 +475,12 @@ class ExpanderConfig:
 
 def _regular_connected(k, degree, rng):
     """Connected random regular graph on k vertices (undirected, as edge list
-    of vertex-index pairs); complete graph when k is too small for the degree."""
+    of vertex-index pairs); complete graph when k is too small for the degree.
+
+    networkx is imported here, on the first call, and nowhere else in the
+    package: `import dynconsensus` loads no third-party package."""
+    import networkx as nx  # deferred: most of `import dynconsensus` time
+
     if k <= degree:
         return [(i, j) for i in range(k) for j in range(i + 1, k)]
     if k * degree % 2:

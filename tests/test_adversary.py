@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,25 @@ class TestExpander:
         with pytest.raises(InfeasibleError):
             ExpanderConfig(n=16, root_size=4, degree=2)
 
+    def test_networkx_loads_on_first_expander_call(self):
+        # A fresh interpreter: importing the package and its CLI loads no
+        # networkx; the first expander call does.
+        code = (
+            "import sys\n"
+            "import dynconsensus, dynconsensus.cli\n"
+            "if 'networkx' in sys.modules:\n"
+            "    sys.exit('networkx loaded by the import')\n"
+            "from dynconsensus import ExpanderConfig, gen_expander\n"
+            "gen_expander(ExpanderConfig(n=16, root_size=4), 1, 6)\n"
+            "if 'networkx' not in sys.modules:\n"
+            "    sys.exit('networkx not loaded by gen_expander')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestScenarioFormat:
     def test_round_trip_identity(self, tmp_path):
@@ -226,6 +249,7 @@ class TestScenarioFormat:
         # them or failing later in the oracle or the engine.
         good = {"n": 2, "D": 1, "horizon": 2, "inputs": [0, 1],
                 "rounds": [[[0, 1]], [[1, 0]]], "meta": {}}
+        not_pair = r"rounds\[1\]: edge must be a \[u, v\] pair"
         for key, value, match in [
             ("horizon", 2.0, "horizon"),
             ("D", 1.0, "field D"),
@@ -233,6 +257,16 @@ class TestScenarioFormat:
             ("inputs", [0, True], "inputs"),
             ("rounds", [[[0.5, 1]], [[1, 0]]], r"rounds\[1\]"),
             ("rounds", [[[0, 1]], [[1, False]]], r"rounds\[2\]"),
+            # A meta that is not an object, or an edge that is not a pair,
+            # is refused instead of being coerced or unpacked.
+            ("meta", [["seed", 1]], "field meta must be an object"),
+            ("meta", [], "field meta must be an object"),
+            ("meta", "", "field meta must be an object"),
+            ("meta", "ab", "field meta must be an object"),
+            ("rounds", [[[0]], [[1, 0]]], not_pair),
+            ("rounds", [[{"a": 1}], [[1, 0]]], not_pair),
+            ("rounds", [[0, 1, 2], [[1, 0]]], not_pair),
+            ("rounds", [[[0, 1]], {}], r"rounds\[2\]: edge set must be a list"),
         ]:
             typed = tmp_path / "typed.json"
             typed.write_text(json.dumps({**good, key: value}))

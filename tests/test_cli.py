@@ -202,8 +202,11 @@ def test_write_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     (["report", "bad", "--out", "out.csv"], b"generator,seed\n\xff,0\n"),
     (["report", "bad", "--out", "out.csv"],
      b"generator,seed\n" + b"x" * 131_073 + b",0\n"),
+    (["run", "--scenario", "bad"],
+     b'{"n": 2, "D": 1, "horizon": 1, "inputs": [0, 1], "rounds": [[[0, 1]]],'
+     b' "meta": [["seed", 1]]}\n'),
 ], ids=["run-not-utf8", "oracle-not-utf8", "report-not-utf8",
-        "report-huge-field"])
+        "report-huge-field", "run-meta-not-object"])
 def test_unreadable_input_is_parse_error(argv, data, tmp_path, monkeypatch,
                                          capsys):
     monkeypatch.chdir(tmp_path)
