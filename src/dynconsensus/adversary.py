@@ -2,11 +2,13 @@
 
 Each generator builds a full round-graph sequence, assigns inputs, and tags
 the scenario with the assumption it satisfies (or deliberately violates).
-Generators validate their own output against the graph oracle before
-returning, so a scenario's meta tag is never refuted by the oracle.  The
-oracle's facts are computed once per scenario and cached on it
-(`Scenario.facts`), so the postconditions, the checkers and the reports all
-read the same computation.
+Every generator returns through `_scenario`, which checks the tags against
+the graph oracle, so a scenario's meta tag is never refuted by the oracle:
+an `ASSUMPTION_1` tag is given exactly when Assumption 1 holds, a claimed
+r_ST equals the oracle's, and an untagged scenario takes both tags from the
+oracle.  The oracle's facts are computed once per scenario and cached on it
+(`Scenario.facts`), so that check, the checkers and the reports all read the
+same computation.
 """
 
 from __future__ import annotations
@@ -152,8 +154,38 @@ def scenario_load(path):
     return scenario_from_dict(data)
 
 
-def _default_inputs(n):
-    return tuple(range(n))
+def _scenario(generator, seed, n, d_bound, rounds, assumption=None,
+              claimed_r_st=None, inputs=None, **extra):
+    """The scenario a generator returns: `rounds` on n processes, inputs
+    0..n-1 unless given, and meta holding the four tags plus `extra`.
+
+    The tags are checked against the oracle's facts.  An `ASSUMPTION_1` tag
+    must hold exactly when Assumption 1 does, so a `VIOLATION(...)` tag must
+    not hold; `ASSUMPTION_2` is no oracle fact and is not checked here.  A
+    claimed r_ST that is not None must be the oracle's.  With no assumption
+    tag, both tags are taken from the oracle.
+    """
+    sc = Scenario(
+        d_bound=d_bound,
+        inputs=tuple(range(n)) if inputs is None else inputs,
+        seq=GraphSequence(n, rounds),
+        meta={"generator": generator, "seed": seed, "assumption": assumption,
+              "claimed_r_st": claimed_r_st, **extra},
+    )
+    facts = sc.facts
+    if assumption is None:
+        sc.meta["assumption"] = (ASSUMPTION_1 if facts.assumption_holds
+                                 else violation("assumption_1"))
+        sc.meta["claimed_r_st"] = facts.r_st
+    elif ((assumption != ASSUMPTION_2
+           and (assumption == ASSUMPTION_1) != facts.assumption_holds)
+          or claimed_r_st not in (None, facts.r_st)):
+        raise AssertionError(
+            f"{generator}: oracle refutes assumption={assumption} "
+            f"claimed_r_st={claimed_r_st}: r_st={facts.r_st}, "
+            f"violations={facts.unbounded_intervals or facts.multi_root_rounds}"
+        )
+    return sc
 
 
 def _star_round(n, center, rng=None, extra=0):
@@ -168,35 +200,33 @@ def _star_round(n, center, rng=None, extra=0):
     return RoundGraph(n, edges)
 
 
-def gen_stable_window(seed, n, d_bound, r_st, window_len=None, horizon=None):
+def gen_stable_window(seed, n, d_bound, r_st, horizon=None):
     """Single-root sequence whose only long stable window is [r_ST, r_ST+4D+1].
 
-    Inside the window, a fixed root set R keeps a cycle backbone plus a
-    layered out-tree of depth <= D covering everyone (so the root stays
-    D-bounded), with random extra edges re-drawn every round.  Outside the
-    window, a rotating singleton star root changes every round.
+    The window is always the 4D + 2 rounds Assumption 1 asks for, and the
+    horizon defaults to 3 rounds past it.  Inside the window, a fixed root
+    set R keeps a cycle backbone plus a layered out-tree of depth <= D
+    covering everyone (so the root stays D-bounded), with random extra edges
+    re-drawn every round.  Outside the window, a rotating singleton star
+    root changes every round.
     """
     if n < 2:
         raise InfeasibleError("need n >= 2")
     if not 1 <= d_bound <= n - 1:
         raise InfeasibleError("need 1 <= D <= n-1")
-    if window_len is None:
-        window_len = 4 * d_bound + 2
-    if window_len < 4 * d_bound + 2:
-        # The oracle looks for a window of 4D + 2 rounds; a shorter one
-        # never yields the claimed r_ST.
-        raise InfeasibleError("window_len must be >= 4D + 2")
     if r_st < 1:
         raise InfeasibleError("r_ST must be >= 1")
+    w_end = r_st + 4 * d_bound + 1
     if horizon is None:
-        horizon = r_st + window_len + 2
-    w_end = r_st + window_len - 1
+        horizon = w_end + 3
     if horizon < w_end:
         raise InfeasibleError("horizon shorter than the stability window")
 
     # String seeds hash deterministically (unlike tuples), keeping output
-    # byte-identical across processes.
-    rng = random.Random(f"stable_window:{seed}:{n}:{d_bound}:{r_st}:{window_len}")
+    # byte-identical across processes.  The last field, the window length,
+    # stays so that every seed keeps the graphs it drew before.
+    rng = random.Random(
+        f"stable_window:{seed}:{n}:{d_bound}:{r_st}:{4 * d_bound + 2}")
 
     k = rng.randint(1, min(d_bound + 1, n))
     perm = list(range(n))
@@ -255,24 +285,8 @@ def gen_stable_window(seed, n, d_bound, r_st, window_len=None, horizon=None):
             )
             prev_center = center
 
-    sc = Scenario(
-        d_bound=d_bound,
-        inputs=_default_inputs(n),
-        seq=GraphSequence(n, rounds),
-        meta={
-            "generator": "stable_window",
-            "seed": seed,
-            "assumption": ASSUMPTION_1,
-            "claimed_r_st": r_st,
-        },
-    )
-    report = sc.facts
-    if report.r_st != r_st or not report.assumption_holds:
-        raise AssertionError(
-            f"generator postcondition failed: r_st={report.r_st}, "
-            f"violations={report.unbounded_intervals or report.multi_root_rounds}"
-        )
-    return sc
+    return _scenario("stable_window", seed, n, d_bound, rounds,
+                     ASSUMPTION_1, r_st)
 
 
 def gen_rotating_roots(seed, n, d_bound, horizon):
@@ -287,32 +301,8 @@ def gen_rotating_roots(seed, n, d_bound, horizon):
         center = rng.choice([c for c in range(n) if c != prev])
         rounds.append(_star_round(n, center, rng, extra=rng.randrange(0, n)))
         prev = center
-    return Scenario(
-        d_bound=d_bound,
-        inputs=_default_inputs(n),
-        seq=GraphSequence(n, rounds),
-        meta={
-            "generator": "rotating_roots",
-            "seed": seed,
-            "assumption": violation("no_stable_window"),
-            "claimed_r_st": None,
-        },
-    )
-
-
-def _tagged_static(name, n, d_bound, graphs):
-    sc = Scenario(
-        d_bound=d_bound,
-        inputs=_default_inputs(n),
-        seq=GraphSequence(n, graphs),
-        meta={"generator": name, "seed": 0},
-    )
-    report = sc.facts
-    sc.meta["assumption"] = (
-        ASSUMPTION_1 if report.assumption_holds else violation("assumption_1")
-    )
-    sc.meta["claimed_r_st"] = report.r_st
-    return sc
+    return _scenario("rotating_roots", seed, n, d_bound, rounds,
+                     violation("no_stable_window"))
 
 
 def gen_static_line(n, horizon):
@@ -320,7 +310,7 @@ def gen_static_line(n, horizon):
     if n < 2:
         raise InfeasibleError("need n >= 2")
     g = RoundGraph(n, [(i, i + 1) for i in range(n - 1)])
-    return _tagged_static("static_line", n, n - 1, [g] * horizon)
+    return _scenario("static_line", 0, n, n - 1, [g] * horizon)
 
 
 def gen_static_star(n, horizon):
@@ -328,7 +318,7 @@ def gen_static_star(n, horizon):
     if n < 2:
         raise InfeasibleError("need n >= 2")
     g = _star_round(n, 0)
-    return _tagged_static("static_star", n, n - 1, [g] * horizon)
+    return _scenario("static_star", 0, n, n - 1, [g] * horizon)
 
 
 def gen_reversing_line(n, kappa, horizon):
@@ -340,9 +330,7 @@ def gen_reversing_line(n, kappa, horizon):
     fwd = RoundGraph(n, [(i, i + 1) for i in range(n - 1)])
     rev = RoundGraph(n, [(i + 1, i) for i in range(n - 1)])
     graphs = [fwd] * kappa + [rev] * (horizon - kappa)
-    sc = _tagged_static("reversing_line", n, n - 1, graphs)
-    sc.meta["kappa"] = kappa
-    return sc
+    return _scenario("reversing_line", 0, n, n - 1, graphs, kappa=kappa)
 
 
 def gen_two_roots(n0, n1, horizon):
@@ -362,18 +350,9 @@ def gen_two_roots(n0, n1, horizon):
     edges.add((0, sink))
     edges.add((n0, sink))
     g = RoundGraph(n, edges)
-    inputs = (0,) * n0 + (1,) * n1 + (0,)
-    return Scenario(
-        d_bound=n - 1,
-        inputs=inputs,
-        seq=GraphSequence(n, [g] * horizon),
-        meta={
-            "generator": "two_roots",
-            "seed": 0,
-            "assumption": violation("two_roots"),
-            "claimed_r_st": None,
-        },
-    )
+    return _scenario("two_roots", 0, n, n - 1, [g] * horizon,
+                     violation("two_roots"),
+                     inputs=(0,) * n0 + (1,) * n1 + (0,))
 
 
 def gen_complete_then_rings(horizon=3):
@@ -385,18 +364,9 @@ def gen_complete_then_rings(horizon=3):
         n, [(p, q) for p in range(n) for q in range(n) if p != q]
     )
     ring = RoundGraph(n, [(i, (i + 1) % n) for i in range(n)])
-    graphs = [complete] + [ring] * (horizon - 1)
-    return Scenario(
-        d_bound=1,
-        inputs=_default_inputs(n),
-        seq=GraphSequence(n, graphs),
-        meta={
-            "generator": "complete_then_rings",
-            "seed": 0,
-            "assumption": violation("not_d_bounded"),
-            "claimed_r_st": None,
-        },
-    )
+    return _scenario("complete_then_rings", 0, n, 1,
+                     [complete] + [ring] * (horizon - 1),
+                     violation("not_d_bounded"))
 
 
 def gen_short_window(n, d_bound, horizon, r_st=3, seed=0):
@@ -443,17 +413,8 @@ def gen_short_window(n, d_bound, horizon, r_st=3, seed=0):
             extra = a_pair[t % 2]
             rounds.append(RoundGraph(n, edges | {(extra, 0)}))
 
-    sc = Scenario(
-        d_bound=d_bound,
-        inputs=_default_inputs(n),
-        seq=GraphSequence(n, rounds),
-        meta={
-            "generator": "short_window",
-            "seed": seed,
-            "assumption": violation("short_window"),
-            "claimed_r_st": None,
-        },
-    )
+    sc = _scenario("short_window", seed, n, d_bound, rounds,
+                   violation("short_window"))
     if sc.facts.r_st is not None:
         raise AssertionError("short-window scenario unexpectedly satisfies "
                              "the full-length window search")
@@ -519,18 +480,8 @@ def gen_expander(cfg, seed, horizon):
     if measured == float("inf"):
         raise InfeasibleError("horizon too short to measure the diameter")
     d_bound = min(max(1, int(measured)), cfg.n - 1)
-    sc = Scenario(
-        d_bound=d_bound,
-        inputs=_default_inputs(cfg.n),
-        seq=seq,
-        meta={
-            "generator": "expander",
-            "seed": seed,
-            "assumption": ASSUMPTION_2,
-            "claimed_r_st": None,
-            "measured_diameter": int(measured),
-        },
-    )
+    sc = _scenario("expander", seed, cfg.n, d_bound, seq.rounds, ASSUMPTION_2,
+                   measured_diameter=int(measured))
     for t, rr in enumerate(sc.facts.roots, start=1):
         if not (rr.is_single and rr.roots[0] == root):
             raise AssertionError(f"round {t}: root is not R")

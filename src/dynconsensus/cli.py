@@ -62,8 +62,7 @@ def _generate(args, seed):
         raise adv.InfeasibleError(f"--gen {gen} needs --horizon")
     if gen == "stable_window":
         return adv.gen_stable_window(
-            seed=seed, n=n, d_bound=d, r_st=args.r_st,
-            window_len=args.window_len, horizon=args.horizon,
+            seed=seed, n=n, d_bound=d, r_st=args.r_st, horizon=args.horizon,
         )
     if gen == "rotating_roots":
         return adv.gen_rotating_roots(
@@ -219,8 +218,6 @@ def _add_generator_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--horizon", type=int, default=None)
     parser.add_argument("--r-st", dest="r_st", type=int, default=2)
-    parser.add_argument("--window-len", dest="window_len", type=int,
-                        default=None)
     parser.add_argument("--kappa", type=int, default=3)
     parser.add_argument("--n0", type=int, default=2)
     parser.add_argument("--n1", type=int, default=2)

@@ -220,13 +220,19 @@ def check_validity(trace):
     return CheckerVerdict("validity", "pass")
 
 
+def termination_deadline(sc):
+    """The round r_ST + 4D + 1 by which every process must have decided, or
+    None when the oracle finds no r_ST."""
+    r_st = sc.facts.r_st
+    return None if r_st is None else r_st + 4 * sc.d_bound + 1
+
+
 def check_termination_bound(trace):
     sc = trace.scenario
-    r_st = sc.facts.r_st
-    if r_st is None:
+    bound = termination_deadline(sc)
+    if bound is None:
         return CheckerVerdict("termination", "skipped",
                               witness={"reason": "no stability window"})
-    bound = r_st + 4 * sc.d_bound + 1
     late = {
         p: r for p, (_, r) in trace.decisions.items() if r > bound
     }
@@ -460,19 +466,18 @@ REPORT_COLUMNS = [
 def summarize(trace):
     """One report row (dict keyed by REPORT_COLUMNS) for a checked trace."""
     sc = trace.scenario
-    report = sc.facts
+    r_st = sc.facts.r_st
+    bound = termination_deadline(sc)
     rounds = [r for _, r in trace.decisions.values()]
     row = {
         "seed": sc.meta.get("seed"),
         "generator": sc.meta.get("generator"),
         "n": sc.n,
         "D": sc.d_bound,
-        "r_ST": report.r_st if report.r_st is not None else "NONE",
+        "r_ST": "NONE" if r_st is None else r_st,
         "first_decision": min(rounds) if rounds else "NONE",
         "last_decision": max(rounds) if rounds else "NONE",
-        "bound": (report.r_st + 4 * sc.d_bound + 1)
-        if report.r_st is not None
-        else "NONE",
+        "bound": "NONE" if bound is None else bound,
     }
     by_name = {v.name: v.status for v in trace.verdicts}
     for name in CHECKER_NAMES:

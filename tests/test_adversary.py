@@ -28,6 +28,12 @@ from dynconsensus import (
     scenario_save,
     vertex_stable_intervals,
 )
+from dynconsensus.adversary import (
+    ASSUMPTION_1,
+    ASSUMPTION_2,
+    _scenario,
+    violation,
+)
 
 
 class TestStableWindow:
@@ -188,6 +194,70 @@ class TestExpander:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _tags_agree_with_oracle(sc):
+    """The tag rule `_scenario` enforces, restated against the oracle."""
+    facts = find_r_st(sc.seq, sc.d_bound)
+    tag, claimed = sc.meta["assumption"], sc.meta["claimed_r_st"]
+    if tag == ASSUMPTION_1:
+        assert facts.assumption_holds
+    elif tag != ASSUMPTION_2:
+        assert tag.startswith("VIOLATION(") and not facts.assumption_holds
+    assert claimed is None or claimed == facts.r_st
+
+
+class TestScenarioTags:
+    def test_oracle_refuting_a_tag_raises(self):
+        two = gen_two_roots(2, 2, 30)
+        with pytest.raises(AssertionError, match="oracle refutes"):
+            _scenario("two_roots", 0, two.n, two.d_bound, two.seq.rounds,
+                      ASSUMPTION_1)
+        stable = gen_stable_window(seed=1, n=6, d_bound=2, r_st=3)
+        rounds = stable.seq.rounds
+        with pytest.raises(AssertionError, match="oracle refutes"):
+            _scenario("stable_window", 1, 6, 2, rounds,
+                      violation("no_stable_window"))
+        for claimed in (2, 4):
+            with pytest.raises(AssertionError, match="oracle refutes"):
+                _scenario("stable_window", 1, 6, 2, rounds, ASSUMPTION_1,
+                          claimed)
+        assert _scenario("stable_window", 1, 6, 2, rounds, ASSUMPTION_1,
+                         3).meta == stable.meta
+
+    @pytest.mark.parametrize("make, assumption, claimed_r_st", [
+        (lambda: gen_static_line(5, 10), violation("assumption_1"), None),
+        (lambda: gen_static_line(5, 20), ASSUMPTION_1, 1),
+        (lambda: gen_static_star(4, 10), violation("assumption_1"), None),
+        (lambda: gen_static_star(4, 20), ASSUMPTION_1, 1),
+        (lambda: gen_reversing_line(5, 3, 20), violation("assumption_1"), None),
+        (lambda: gen_reversing_line(3, 12, 20), ASSUMPTION_1, 1),
+    ], ids=["line_short", "line_long", "star_short", "star_long",
+            "reversing_early", "reversing_late"])
+    def test_untagged_static_rounds_take_oracle_tags(self, make, assumption,
+                                                     claimed_r_st):
+        meta = make().meta
+        assert meta["seed"] == 0
+        assert meta["assumption"] == assumption
+        assert meta["claimed_r_st"] == claimed_r_st
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_stable_window(seed=2, n=7, d_bound=3, r_st=4),
+        lambda: gen_rotating_roots(seed=3, n=5, d_bound=2, horizon=20),
+        lambda: gen_static_line(4, 16),
+        lambda: gen_static_star(5, 8),
+        lambda: gen_reversing_line(4, 5, 12),
+        lambda: gen_two_roots(2, 3, 12),
+        lambda: gen_complete_then_rings(),
+        lambda: gen_short_window(6, 2, horizon=10, r_st=3),
+        lambda: gen_expander(ExpanderConfig(n=16, root_size=4), 1, 12),
+    ], ids=["stable_window", "rotating_roots", "static_line", "static_star",
+            "reversing_line", "two_roots", "complete_then_rings",
+            "short_window", "expander"])
+    def test_every_generator_meta_obeys_the_rule(self, make):
+        sc = make()
+        assert {"generator", "seed", "assumption", "claimed_r_st"} <= set(sc.meta)
+        _tags_agree_with_oracle(sc)
 
 
 class TestScenarioFormat:

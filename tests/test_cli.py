@@ -64,7 +64,6 @@ def test_infeasible_generate(tmp_path, capsys):
     ["--gen", "two_roots"],
     ["--gen", "short_window", "--n", "6"],
     ["--gen", "expander", "--n", "16", "--root-size", "4"],
-    ["--gen", "stable_window", "--window-len", "3"],
     ["--gen", "stable_window", "--n", "2", "--d", "1", "--seed", "4"],
     ["--gen", "static_line", "--horizon", "0"],
     ["--gen", "rotating_roots", "--d", "0", "--horizon", "5"],
@@ -72,6 +71,14 @@ def test_infeasible_generate(tmp_path, capsys):
     ["--gen", "short_window", "--n", "6", "--d", "2", "--horizon", "14",
      "--r-st", "0"],
     ["--gen", "complete_then_rings", "--horizon", "0"],
+    # A zero horizon is refused by every generator that takes one.
+    ["--gen", "rotating_roots", "--horizon", "0"],
+    ["--gen", "static_star", "--horizon", "0"],
+    ["--gen", "reversing_line", "--horizon", "0"],
+    ["--gen", "two_roots", "--horizon", "0"],
+    ["--gen", "short_window", "--n", "6", "--horizon", "0"],
+    ["--gen", "expander", "--n", "16", "--root-size", "4", "--horizon", "0"],
+    ["--gen", "stable_window", "--horizon", "0"],
 ])
 def test_generate_usage_errors_exit_2(flags, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -80,7 +87,8 @@ def test_generate_usage_errors_exit_2(flags, tmp_path, monkeypatch, capsys):
     code = main(["generate"] + flags)
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err and err.strip()
+    assert "Traceback" not in err
+    assert err.startswith(("infeasible: ", "io error: "))
 
 
 def test_run_prune_static_star_passes(tmp_path, capsys):
