@@ -28,6 +28,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# Each oracle query's form and the argument counts it takes.
+ORACLE_QUERIES = {
+    "roots": ("roots [r]", (0, 1)),
+    "cd": ("cd p q r", (3,)),
+    "diam": ("diam r s", (2,)),
+    "rst": ("rst", (0,)),
+}
+
 
 def _fmt(value):
     if value == INFINITY:
@@ -139,30 +147,35 @@ def cmd_run(args):
 
 
 def cmd_oracle(args):
+    name, *q = args.query
+    if name not in ORACLE_QUERIES:
+        print(f"unknown query: {name}", file=sys.stderr)
+        return EXIT_USAGE
+    form, counts = ORACLE_QUERIES[name]
+    if len(q) not in counts:
+        print(f"bad query: expected '{form}', got '{' '.join(args.query)}'",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         sc = adv.scenario_load(args.scenario)
     except (adv.ScenarioParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    q = args.query
     try:
-        if q[0] == "roots":
-            rounds = [int(q[1])] if len(q) > 1 else range(1, sc.horizon + 1)
+        if name == "roots":
+            rounds = [int(q[0])] if q else range(1, sc.horizon + 1)
             for r in rounds:
                 roots = root_components(sc.seq.round(r)).roots
                 print(f"{r}: {[sorted(c) for c in roots]}")
-        elif q[0] == "cd":
-            p, qq, r = int(q[1]), int(q[2]), int(q[3])
+        elif name == "cd":
+            p, qq, r = map(int, q)
             print(_fmt(causal_distance(sc.seq, r, p, qq)))
-        elif q[0] == "diam":
-            r, s = int(q[1]), int(q[2])
+        elif name == "diam":
+            r, s = map(int, q)
             print(_fmt(network_causal_diameter(sc.seq, (r, s))))
-        elif q[0] == "rst":
-            print(_fmt(sc.facts.r_st))
         else:
-            print(f"unknown query: {q[0]}", file=sys.stderr)
-            return EXIT_USAGE
-    except (IndexError, ValueError, OutOfRangeError, MultipleRootsError) as exc:
+            print(_fmt(sc.facts.r_st))
+    except (ValueError, OutOfRangeError, MultipleRootsError) as exc:
         print(f"bad query: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -249,7 +262,7 @@ def build_parser():
     o = sub.add_parser("oracle", help="query the graph oracle")
     o.add_argument("--scenario", required=True)
     o.add_argument("query", nargs="+",
-                   help="roots [r] | cd p q r | diam r s | rst")
+                   help=" | ".join(f for f, _ in ORACLE_QUERIES.values()))
     o.set_defaults(func=cmd_oracle)
 
     b = sub.add_parser("batch", help="seeded sweep with CSV report")

@@ -2,9 +2,10 @@
 
 Everything here is computed directly from a graph sequence, independently of
 the per-process protocol code, so it can serve as ground truth for the
-checkers.  All reachability results are relative to the finite horizon T:
-a causal chain that does not complete by round T is reported as INFINITY.
-Rounds are 1-based throughout.
+checkers.  SCCs and root components come from bitmask reachability over
+each round's adjacency masks.  All reachability results are relative to the
+finite horizon T: a causal chain that does not complete by round T is
+reported as INFINITY.  Rounds are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def _bits(mask):
 class RoundGraph:
     """One round's communication graph: edge (p, q) means q receives p's message.
 
-    Simple directed graph, no self-loops.  Immutable; adjacency bitmasks are
-    cached lazily.
+    Simple directed graph, no self-loops.  Immutable, with its adjacency
+    bitmasks built once: bit q of out_masks()[p] and bit p of in_masks()[q].
     """
 
     __slots__ = ("n", "edges", "_out_masks", "_in_masks")
@@ -47,31 +48,21 @@ class RoundGraph:
     def __init__(self, n, edges=()):
         if n < 1:
             raise ValueError("n must be >= 1")
-        edges = frozenset((int(p), int(q)) for p, q in edges)
-        for p, q in edges:
+        self.n = n
+        self.edges = frozenset((int(p), int(q)) for p, q in edges)
+        self._out_masks, self._in_masks = [0] * n, [0] * n
+        for p, q in self.edges:
             if p == q:
                 raise ValueError(f"self-loop {p}->{q}")
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"edge {p}->{q} out of range for n={n}")
-        self.n = n
-        self.edges = edges
-        self._out_masks = None
-        self._in_masks = None
+            self._out_masks[p] |= 1 << q
+            self._in_masks[q] |= 1 << p
 
     def out_masks(self):
-        if self._out_masks is None:
-            masks = [0] * self.n
-            for p, q in self.edges:
-                masks[p] |= 1 << q
-            self._out_masks = masks
         return self._out_masks
 
     def in_masks(self):
-        if self._in_masks is None:
-            masks = [0] * self.n
-            for p, q in self.edges:
-                masks[q] |= 1 << p
-            self._in_masks = masks
         return self._in_masks
 
     def in_neighbors(self, q):
@@ -187,74 +178,55 @@ class StabilityReport:
         )
 
 
+def _closure(masks, v):
+    """Bitmask of the vertices reachable from v along `masks`, v included."""
+    seen = frontier = 1 << v
+    while frontier:
+        step = 0
+        for u in _bits(frontier):
+            step |= masks[u]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def scc_decompose(g):
-    """Maximal strongly connected components of one round graph.
-
-    Iterative Tarjan; output sorted by smallest member id, components as
-    frozensets.
+    """Maximal strongly connected components of one round graph, by bitmask
+    reachability: the lowest vertex v not yet assigned has as component what
+    v reaches and what reaches v.  Sorted by smallest member, as frozensets.
     """
-    n = g.n
-    adj = [sorted(_bits(m)) for m in g.out_masks()]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack = []
+    out, inn = g.out_masks(), g.in_masks()
     sccs = []
-    counter = 0
-
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        # Explicit DFS stack of (vertex, iterator position).
-        work = [(start, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-
-    return sorted(sccs, key=min)
+    left = (1 << g.n) - 1
+    while left:
+        v = next(_bits(left))
+        comp = _closure(out, v) & _closure(inn, v)
+        sccs.append(frozenset(_bits(comp)))
+        left &= ~comp
+    return sccs
 
 
 def root_components(g):
-    """The SCCs with no incoming edge from outside; always 1..n of them."""
-    sccs = scc_decompose(g)
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-    has_external_in = [False] * len(sccs)
-    for p, q in g.edges:
-        if comp_of[p] != comp_of[q]:
-            has_external_in[comp_of[q]] = True
-    roots = tuple(c for i, c in enumerate(sccs) if not has_external_in[i])
-    return RootReport(roots=roots)
+    """The SCCs with no incoming edge from outside; always 1..n of them.
+
+    Bitmask reachability, by descent: from each uncovered vertex, step to
+    the lowest vertex w that reaches the current one but is not reached by
+    it, which strictly shrinks the set reaching it.  Once there is no w, that
+    set is a root component, and all it reaches is covered.  Sorted by min.
+    """
+    out, inn = g.out_masks(), g.in_masks()
+    roots = []
+    covered = 0
+    for v in range(g.n):
+        if covered >> v & 1:
+            continue
+        fwd, back = _closure(out, v), _closure(inn, v)
+        while back & ~fwd:
+            w = next(_bits(back & ~fwd))
+            fwd, back = _closure(out, w), _closure(inn, w)
+        roots.append(frozenset(_bits(back)))
+        covered |= fwd
+    return RootReport(roots=tuple(sorted(roots, key=min)))
 
 
 def causal_reach(seq, r, p, max_steps=None):
@@ -340,13 +312,6 @@ def _is_d_bounded(per_round, a, b, diameter, d_bound):
     return diameter <= d_bound and x0 >= a and per_round[x0] <= d_bound
 
 
-def _scc_containing(g, v):
-    for comp in scc_decompose(g):
-        if v in comp:
-            return comp
-    raise AssertionError("unreachable")
-
-
 def scc_causal_diameter(seq, interval, members):
     """Per-round and interval causal diameters of a vertex-stable SCC."""
     r, s = interval
@@ -355,9 +320,14 @@ def scc_causal_diameter(seq, interval, members):
     members = frozenset(members)
     if not members:
         raise ValueError("members must be nonempty")
+    for v in members:
+        if not 0 <= v < seq.n:
+            raise ValueError(f"process {v} out of range")
+    mask = sum(1 << v for v in members)
     anchor = min(members)
-    for x in range(r, s + 1):
-        if _scc_containing(seq.round(x), anchor) != members:
+    for x, g in enumerate(seq.rounds[r - 1:s], start=r):
+        scc = _closure(g.out_masks(), anchor) & _closure(g.in_masks(), anchor)
+        if scc != mask:
             raise NotVertexStableError(
                 f"members are not a vertex-stable SCC at round {x}"
             )

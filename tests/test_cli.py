@@ -131,6 +131,28 @@ def test_oracle_queries(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("query, form", [
+    (["roots", "1", "2"], "roots [r]"),
+    (["rst", "extra"], "rst"),
+    (["cd", "0", "1"], "cd p q r"),
+    (["cd", "0", "1", "2", "3"], "cd p q r"),
+    (["diam", "1"], "diam r s"),
+    (["diam", "1", "2", "3"], "diam r s"),
+], ids=["roots-2-args", "rst-1-arg", "cd-2-args", "cd-4-args", "diam-1-arg",
+        "diam-3-args"])
+def test_oracle_wrong_argument_count_exits_2(tmp_path, capsys, query, form):
+    sc = tmp_path / "sc.json"
+    main([
+        "generate", "--gen", "static_line", "--n", "5", "--horizon", "20",
+        "--out", str(sc),
+    ])
+    capsys.readouterr()
+    assert main(["oracle", "--scenario", str(sc), *query]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bad query: expected '{form}', got ")
+
+
 def test_oracle_rst_none_on_two_roots(tmp_path, capsys):
     sc = tmp_path / "two.json"
     main(["generate", "--gen", "two_roots", "--horizon", "20",

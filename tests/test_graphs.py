@@ -84,15 +84,22 @@ class TestScc:
         ]
 
     def test_matches_brute_force_reachability(self):
+        # Random, edgeless and chain graphs; on a chain the root descent
+        # can take many steps.
         rng = random.Random("scc-brute")
-        for _ in range(30):
-            n = rng.randint(2, 6)
-            edges = [
-                (p, q)
-                for p in range(n)
-                for q in range(n)
-                if p != q and rng.random() < 0.3
-            ]
+        for draw in range(300):
+            n = rng.randint(1, 9)
+            if draw % 3 == 2:
+                order = rng.sample(range(n), n)
+                edges = list(zip(order, order[1:]))
+            else:
+                density = rng.choice([0.0, 0.15, 0.3, 0.5])
+                edges = [
+                    (p, q)
+                    for p in range(n)
+                    for q in range(n)
+                    if p != q and rng.random() < density
+                ]
             g = RoundGraph(n, edges)
             reach = [[p == q for q in range(n)] for p in range(n)]
             for p, q in edges:
@@ -112,6 +119,12 @@ class TestScc:
                 key=min,
             )
             assert scc_decompose(g) == expected
+            # Root components: the SCCs that nothing outside reaches.
+            assert root_components(g).roots == tuple(
+                c
+                for c in expected
+                if not any(reach[p][min(c)] for p in range(n) if p not in c)
+            )
 
 
 class TestRootComponents:
@@ -231,6 +244,17 @@ class TestSccCausalDiameter:
         )
         with pytest.raises(NotVertexStableError):
             scc_causal_diameter(seq, (1, 2), {0, 1, 2})
+
+    @pytest.mark.parametrize(
+        "members, bad", [({5}, 5), ({-1}, -1), ({0, 3}, 3)],
+        ids=["5", "-1", "0-and-3"],
+    )
+    def test_member_out_of_range(self, members, bad):
+        seq = static(3, cycle_edges(3), 3)
+        with pytest.raises(ValueError, match=f"^process {bad} out of range$"):
+            scc_causal_diameter(seq, (1, 2), members)
+        with pytest.raises(ValueError, match=f"^process {bad} out of range$"):
+            check_d_bounded(seq, (1, 2), members, 1)
 
     def test_diameter_bound_for_stable_sccs(self):
         # For |C| >= 2 and s >= r + |C| - 2, D(C^I) <= |C| - 1.
