@@ -122,9 +122,13 @@ def scenario_from_dict(data):
             raise ScenarioParseError(
                 f"rounds[{i}]: edge endpoints must be integers")
         try:
-            graphs.append(RoundGraph(n, edges))
+            graph = RoundGraph(n, edges)
         except ValueError as exc:
             raise ScenarioParseError(f"rounds[{i}]: {exc}") from exc
+        if len(graph.edges) != len(edges):
+            u, v = next(e for k, e in enumerate(edges) if e in edges[:k])
+            raise ScenarioParseError(f"rounds[{i}]: duplicate edge {u}->{v}")
+        graphs.append(graph)
     try:
         return Scenario(
             d_bound=data["D"],

@@ -21,7 +21,7 @@ that changed from state to state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt
 
 from .graphs import _bits
@@ -189,6 +189,21 @@ class ApproxState:
         )
 
 
+class _once:
+    """`functools.cached_property` without its lock: the first read stores
+    the value in the instance dict, which later reads find first.  Before
+    Python 3.12, cached_property takes an RLock on every first read."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ApproxMessage:
     """A full snapshot of the sender's approximation state.
@@ -205,7 +220,7 @@ class ApproxMessage:
     sender: int
     graph: ApproxState
 
-    @cached_property
+    @_once
     def _label_span(self):
         """(lowest, highest) label, (1, 0) without labels; raises if the
         owner is not the sender or not one of the vertices."""
@@ -215,7 +230,7 @@ class ApproxMessage:
                 f"snapshot owner mismatch from {self.sender}")
         return min(g.slices, default=1), max(g.slices, default=0)
 
-    @cached_property
+    @_once
     def _edge_fault(self):
         """The error text for a self-loop or an edge with an endpoint
         outside the vertex set, else None.  The witness is the lowest such

@@ -1,8 +1,9 @@
 """The lock/decide consensus state machine layered on the approximation
 predicate.
 
-States are immutable; cons_step returns a fresh state plus a list of events
-(lock / unlock / decide / conflict) for the trace recorder.
+States are immutable; cons_step returns the next state plus a list of events
+(lock / unlock / decide / conflict) for the trace recorder.  A step that
+changes no field returns its input state object as it is.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def cons_init(input_value):
 
 
 def cons_emit(state):
-    if state.decided:
+    if state.decision is not None:
         return DecideMessage(x=state.x)
     return LockMessage(lock_round=state.lock_round, x=state.x)
 
@@ -55,55 +56,62 @@ def cons_step(state, r, received, predicate, d_bound):
 
     Returns (new_state, events) where events is a list of dicts with a
     "kind" key in {"lock", "unlock", "decide", "conflicting_decides"}.
+    When no field changes, new_state is `state` itself.
+
+    One pass over `received` finds the lexicographically largest
+    (lock_round, x) among the locks and the lowest and highest decided
+    value; the decided values are sorted only when they conflict.
     """
-    if state.decided:
+    if state.decision is not None:
         return state, []
 
-    events = []
-    decide_values = sorted(
-        m.x for m in received if isinstance(m, DecideMessage)
-    )
-    if decide_values:
-        if decide_values[0] != decide_values[-1]:
-            events.append(
-                {"kind": "conflicting_decides", "values": decide_values}
-            )
-        v = decide_values[-1]
-        events.append({"kind": "decide", "value": v, "round": r})
-        return (
-            replace(state, x=v, decision=(v, r)),
-            events,
-        )
-
-    best = (state.lock_round, state.x)
+    lock_round, x = state.lock_round, state.x
+    low = high = None
     for m in received:
         if isinstance(m, LockMessage):
-            pair = (m.lock_round, m.x)
-            if pair > best:
-                best = pair
-    lock_round, x = best
+            if m.lock_round > lock_round or (
+                m.lock_round == lock_round and m.x > x
+            ):
+                lock_round, x = m.lock_round, m.x
+        elif isinstance(m, DecideMessage):
+            v = m.x
+            if high is None:
+                low = high = v
+            elif v > high:
+                high = v
+            elif v < low:
+                low = v
 
-    locked = state.locked
-    decision = state.decision
+    if high is not None:
+        events = []
+        if low != high:
+            values = sorted(
+                m.x for m in received if isinstance(m, DecideMessage)
+            )
+            events.append({"kind": "conflicting_decides", "values": values})
+        events.append({"kind": "decide", "value": high, "round": r})
+        return replace(state, x=high, decision=(high, r)), events
+
     if predicate((r - d_bound - 1, r - d_bound)):
-        if not locked:
-            locked = True
-            lock_round = r
-            events.append({"kind": "lock", "round": r})
-        elif predicate((lock_round, lock_round + d_bound)):
-            decision = (x, r)
-            events.append({"kind": "decide", "value": x, "round": r})
-    else:
-        if locked:
-            events.append({"kind": "unlock", "round": r})
-        locked = False
+        if not state.locked:
+            return (
+                ConsensusState(x=x, locked=True, lock_round=r),
+                [{"kind": "lock", "round": r}],
+            )
+        if predicate((lock_round, lock_round + d_bound)):
+            return (
+                ConsensusState(x=x, locked=True, lock_round=lock_round,
+                               decision=(x, r)),
+                [{"kind": "decide", "value": x, "round": r}],
+            )
+    elif state.locked:
+        return (
+            ConsensusState(x=x, lock_round=lock_round),
+            [{"kind": "unlock", "round": r}],
+        )
 
-    return (
-        ConsensusState(
-            x=x,
-            locked=locked,
-            lock_round=lock_round,
-            decision=decision,
-        ),
-        events,
-    )
+    # Still locked without deciding, or still unlocked: only (lock_round, x)
+    # can have moved.
+    if x == state.x and lock_round == state.lock_round:
+        return state, []
+    return ConsensusState(x=x, locked=state.locked, lock_round=lock_round), []

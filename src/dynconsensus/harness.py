@@ -79,6 +79,15 @@ class CheckerVerdict:
         return self.status != "fail"
 
 
+@lru_cache(maxsize=1024)
+def _senders(in_mask):
+    """The senders a receiver with in-neighbour mask `in_mask` hears in a
+    round, ascending.  The engine and `trace_save` both read a round's
+    deliveries from here.  A benchmark scenario has at most 350 distinct
+    in-neighbour masks."""
+    return tuple(_bits(in_mask))
+
+
 def run(scenario, prune=False):
     """Simulate the scenario round by round and record a full trace.
 
@@ -92,6 +101,7 @@ def run(scenario, prune=False):
     approx = [ap.approx_init(p) for p in range(n)]
     cons = [cs.cons_init(scenario.inputs[p]) for p in range(n)]
     trace = Trace(scenario=scenario, pruned=prune)
+    decisions = trace.decisions
 
     for r in range(1, scenario.horizon + 1):
         in_masks = scenario.seq.round(r).in_masks()
@@ -101,11 +111,10 @@ def run(scenario, prune=False):
         events = {}
         evals = {}
         for p in range(n):
-            senders = list(_bits(in_masks[p]))
-            approx[p] = ap.approx_absorb(
+            senders = _senders(in_masks[p])
+            state = approx[p] = ap.approx_absorb(
                 approx[p], r, [snapshots[u] for u in senders]
             )
-            state = approx[p]
             log = {}
 
             def predicate(interval, _state=state, _log=log, _r=r):
@@ -113,15 +122,18 @@ def run(scenario, prune=False):
                 _log[interval] = result
                 return result
 
-            cons[p], evs = cs.cons_step(
+            step, evs = cs.cons_step(
                 cons[p], r, [messages[u] for u in senders], predicate, d
             )
-            if evs:
-                events[p] = evs
+            cons[p] = step
             if log:
                 evals[p] = log
-            if cons[p].decided and p not in trace.decisions:
-                trace.decisions[p] = cons[p].decision
+            if evs:
+                events[p] = evs
+                # A decision comes with its decide event, and a decided
+                # state takes no further step.
+                if step.decision is not None:
+                    decisions[p] = step.decision
 
         if prune:
             keep_after = r - 4 * d
@@ -140,8 +152,9 @@ def trace_save(trace, path):
     verdicts.  Canonical key order for byte-reproducibility.
 
     A round line's `delivered` (each receiver's ascending senders) comes from
-    the round graph and its `approx` digests from the recorded states, one
-    `EdgeCursor` per process moving forward through that process's states."""
+    the round graph through `_senders`, as the engine's deliveries do, and
+    its `approx` digests from the recorded states, one `EdgeCursor` per
+    process moving forward through that process's states."""
     sc = trace.scenario
     cursors = [ap.EdgeCursor() for _ in range(sc.n)]
     with open(path, "w") as fh:
@@ -158,7 +171,7 @@ def trace_save(trace, path):
             line = {
                 "round": r,
                 "delivered": {
-                    str(q): list(_bits(mask)) for q, mask in enumerate(in_masks)
+                    str(q): _senders(mask) for q, mask in enumerate(in_masks)
                 },
                 "events": {str(p): e for p, e in rec.events.items()},
                 "predicates": {

@@ -337,6 +337,11 @@ class TestScenarioFormat:
             ("rounds", [[{"a": 1}], [[1, 0]]], not_pair),
             ("rounds", [[0, 1, 2], [[1, 0]]], not_pair),
             ("rounds", [[[0, 1]], {}], r"rounds\[2\]: edge set must be a list"),
+            # A repeated edge is refused, not collapsed into one.
+            ("rounds", [[[0, 1], [0, 1]], [[1, 0]]],
+             r"^rounds\[1\]: duplicate edge 0->1$"),
+            ("rounds", [[[0, 1]], [[1, 0], [0, 1], [1, 0]]],
+             r"^rounds\[2\]: duplicate edge 1->0$"),
         ]:
             typed = tmp_path / "typed.json"
             typed.write_text(json.dumps({**good, key: value}))

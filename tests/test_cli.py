@@ -270,6 +270,21 @@ def test_non_integer_fields_are_parse_errors(argv, key, value, tmp_path,
     assert "Traceback" not in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "sc.json"],
+    ["oracle", "--scenario", "sc.json", "rst"],
+], ids=lambda argv: argv[0])
+def test_duplicate_edge_is_parse_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    data = {"n": 2, "D": 1, "horizon": 2, "inputs": [0, 1],
+            "rounds": [[[0, 1]], [[1, 0], [1, 0]]], "meta": {}}
+    (tmp_path / "sc.json").write_text(json.dumps(data))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "parse error: rounds[2]: duplicate edge 1->0\n"
+
+
 def test_identical_invocations_identical_bytes(tmp_path, capsys):
     outs = []
     for name in ("x", "y"):

@@ -1,3 +1,7 @@
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
 from dynconsensus import (
     ConsensusState,
     DecideMessage,
@@ -98,3 +102,97 @@ def test_unlock_branch_resets_locked_only():
     new, events = cons_step(state, 9, [], never, 2)
     assert not new.locked and new.lock_round == 4
     assert [e["kind"] for e in events] == ["unlock"]
+
+
+def reference_step(state, r, received, predicate, d_bound):
+    """Reference for `cons_step` in its plain two-pass form: sort the
+    decided values, then scan the locks; always a fresh state."""
+    if state.decided:
+        return state, []
+    events = []
+    decide_values = sorted(
+        m.x for m in received if isinstance(m, DecideMessage)
+    )
+    if decide_values:
+        if decide_values[0] != decide_values[-1]:
+            events.append(
+                {"kind": "conflicting_decides", "values": decide_values}
+            )
+        v = decide_values[-1]
+        events.append({"kind": "decide", "value": v, "round": r})
+        return replace(state, x=v, decision=(v, r)), events
+    best = (state.lock_round, state.x)
+    for m in received:
+        if isinstance(m, LockMessage):
+            pair = (m.lock_round, m.x)
+            if pair > best:
+                best = pair
+    lock_round, x = best
+    locked = state.locked
+    decision = state.decision
+    if predicate((r - d_bound - 1, r - d_bound)):
+        if not locked:
+            locked = True
+            lock_round = r
+            events.append({"kind": "lock", "round": r})
+        elif predicate((lock_round, lock_round + d_bound)):
+            decision = (x, r)
+            events.append({"kind": "decide", "value": x, "round": r})
+    else:
+        if locked:
+            events.append({"kind": "unlock", "round": r})
+        locked = False
+    return ConsensusState(x=x, locked=locked, lock_round=lock_round,
+                          decision=decision), events
+
+
+# Few values and lock rounds, so equal lock rounds with different values
+# and conflicting decides are common.
+values = st.integers(0, 3)
+lock_rounds = st.integers(0, 5)
+
+
+@st.composite
+def steps(draw):
+    r = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["unlocked", "locked", "decided"]))
+    x = draw(values)
+    if kind == "unlocked":
+        state = ConsensusState(x=x, lock_round=draw(lock_rounds))
+    elif kind == "locked":
+        state = ConsensusState(x=x, locked=True, lock_round=draw(lock_rounds))
+    else:
+        state = ConsensusState(x=x, locked=draw(st.booleans()),
+                               lock_round=draw(lock_rounds),
+                               decision=(x, draw(st.integers(1, r))))
+    # Half the lists carry no decide, so the lock path is reached as often
+    # as the decide path.
+    locks = draw(st.lists(
+        st.builds(LockMessage, lock_round=lock_rounds, x=values), max_size=5))
+    decides = draw(st.lists(st.builds(DecideMessage, x=values), max_size=3)
+                   if draw(st.booleans()) else st.just([]))
+    received = draw(st.permutations(locks + decides))
+    return state, r, received, draw(st.integers(1, 3))
+
+
+@given(steps(), st.randoms(use_true_random=False))
+@settings(max_examples=500, deadline=None)
+def test_cons_step_matches_two_pass_reference(step, rng):
+    state, r, received, d = step
+    answers = {}  # interval -> the predicate's random answer, shared
+
+    def recording(calls):
+        def predicate(interval):
+            calls.append(interval)
+            return answers.setdefault(interval, rng.random() < 0.5)
+        return predicate
+
+    ref_calls, calls = [], []
+    expected, expected_events = reference_step(
+        state, r, received, recording(ref_calls), d)
+    new, events = cons_step(state, r, received, recording(calls), d)
+    assert new == expected
+    assert events == expected_events
+    assert calls == ref_calls
+    # A step that changes no field hands back the state object itself.
+    assert (new is state) == (expected == state)
