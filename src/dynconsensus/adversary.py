@@ -95,9 +95,13 @@ def _is_int(x):
 def scenario_from_dict(data):
     if not isinstance(data, dict):
         raise ScenarioParseError("top-level value must be an object")
-    for key in ("n", "D", "horizon", "inputs", "rounds", "meta"):
+    fields = ("n", "D", "horizon", "inputs", "rounds", "meta")
+    for key in fields:
         if key not in data:
             raise ScenarioParseError(f"missing field: {key}")
+    unknown = sorted(data.keys() - set(fields))
+    if unknown:
+        raise ScenarioParseError(f"unknown field: {unknown[0]}")
     n = data["n"]
     if not _is_int(n) or n < 1:
         raise ScenarioParseError("field n must be a positive integer")
@@ -107,6 +111,8 @@ def scenario_from_dict(data):
     inputs = data["inputs"]
     if not isinstance(inputs, list) or not all(map(_is_int, inputs)):
         raise ScenarioParseError("field inputs must be a list of integers")
+    if len(inputs) != n:  # before any round graph allocates O(n)
+        raise ScenarioParseError("field inputs must list one value per process")
     rounds = data["rounds"]
     if not isinstance(rounds, list) or len(rounds) != data["horizon"]:
         raise ScenarioParseError("field rounds must list one edge set per round")
@@ -155,6 +161,8 @@ def scenario_load(path):
         raise ScenarioParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(f"not UTF-8 text at byte {exc.start}")
+    except RecursionError:
+        raise ScenarioParseError("invalid JSON: nested too deeply")
     return scenario_from_dict(data)
 
 

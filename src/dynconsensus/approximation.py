@@ -10,9 +10,10 @@ so they can be snapshotted into messages by reference.
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
 (`_strong`, `_allowed_mask`, `_label_text`, `_edge`) are bounded
-module-level caches that every process shares, and a round's snapshot is
-validated once however many processes receive it.  Edge-major views are
-for reading traces:
+module-level caches that every process shares.  The transitions keep a
+state's well-formedness up to date, so validating a received snapshot takes
+a few comparisons, not a pass over its slices.  Edge-major views are for
+reading traces:
 `ApproxState.edges` transposes one state, and an `EdgeCursor` walks one
 process's states in round order, moving its transposition by the slices
 that changed from state to state.
@@ -20,7 +21,7 @@ that changed from state to state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
@@ -148,12 +149,19 @@ class ApproxState:
     """Process p's approximation digraph: owner, vertices, and `slices`,
     which maps round s to the int of its edge bits (no value is 0).  Slices
     before `pruned_before` were dropped by pruning.  `edges`
-    ({(u, v): label mask}) and `sorted_edges` are derived views."""
+    ({(u, v): label mask}) and `sorted_edges` are derived views.
+
+    `_top`, derived and not part of the value, is the highest label (0 if
+    none) once the state is known to be well formed: the owner a vertex,
+    no negative id, no label below 1, no self-loop or unknown endpoint.
+    The transitions set it; a state built any other way gets it from its
+    first full check in `_validate_snapshot`.  States must not be mutated."""
 
     owner: int
     vertices: frozenset
     slices: dict
     pruned_before: int = 0
+    _top: int | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         self.vertices = frozenset(self.vertices)
@@ -189,65 +197,20 @@ class ApproxState:
         )
 
 
-class _once:
-    """`functools.cached_property` without its lock: the first read stores
-    the value in the instance dict, which later reads find first.  Before
-    Python 3.12, cached_property takes an RLock on every first read."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class ApproxMessage:
-    """A full snapshot of the sender's approximation state.
-
-    Whether the snapshot is well formed depends on the round it is received
-    in only through its label range, and a round's snapshot reaches every
-    out-neighbour of its sender.  So the round-independent facts are cached
-    properties, computed by the first receiver and read by the others:
-    `_label_span` checks the owner and holds the lowest and highest label,
-    and `_edge_fault` names the first self-loop or edge with an endpoint
-    outside the snapshot's vertices.  The graph must not be mutated once it
-    is sent."""
+    """A full snapshot of the sender's approximation state.  The graph must
+    not be mutated once it is sent."""
 
     sender: int
     graph: ApproxState
 
-    @_once
-    def _label_span(self):
-        """(lowest, highest) label, (1, 0) without labels; raises if the
-        owner is not the sender or not one of the vertices."""
-        g = self.graph
-        if self.sender != g.owner or g.owner not in g.vertices:
-            raise MalformedMessageError(
-                f"snapshot owner mismatch from {self.sender}")
-        return min(g.slices, default=1), max(g.slices, default=0)
-
-    @_once
-    def _edge_fault(self):
-        """The error text for a self-loop or an edge with an endpoint
-        outside the vertex set, else None.  The witness is the lowest such
-        edge of the first faulty slice."""
-        g = self.graph
-        bad_bits = ~_allowed_mask(g.vertices)
-        for m in g.slices.values():
-            bad = m & bad_bits
-            if bad:
-                (u, v), = _decode(bad & -bad)
-                kind = "self-loop" if u == v else "unknown endpoint in"
-                return f"{kind} {u}->{v} from {self.sender}"
-
 
 def approx_init(p):
     """Fresh state: the singleton graph ({p}, no edges)."""
-    return ApproxState(owner=p, vertices=(p,), slices={})
+    state = ApproxState(owner=p, vertices=(p,), slices={})
+    state._top = 0 if p >= 0 else None  # a negative id is never well formed
+    return state
 
 
 def approx_emit(state):
@@ -259,32 +222,46 @@ def _validate_snapshot(msg, r):
     """Raise `MalformedMessageError` unless `msg` is a well-formed round-r
     snapshot, checking, in this order: the owner, the labels within
     [1, r - 1], and every edge between two distinct vertices of the
-    snapshot.  Only the label comparison is made per call; the rest is
-    cached on the message."""
-    lo, hi = msg._label_span
-    if lo < 1 or hi >= r:
+    snapshot.  A state with `_top` set needs two comparisons; any other
+    message is checked in full, and a state that passes keeps its `_top`."""
+    g = msg.graph
+    top = g._top
+    if top is not None and top < r and msg.sender == g.owner:
+        return
+    if msg.sender != g.owner or g.owner not in g.vertices:
+        raise MalformedMessageError(
+            f"snapshot owner mismatch from {msg.sender}")
+    top = max(g.slices, default=0)
+    if min(g.slices, default=1) < 1 or top >= r:
         raise MalformedMessageError(
             f"snapshot from {msg.sender} carries labels outside [1, {r - 1}]")
-    fault = msg._edge_fault
-    if fault:
-        raise MalformedMessageError(fault)
+    bad_bits = ~_allowed_mask(g.vertices)  # raises on a negative vertex id
+    for m in g.slices.values():
+        bad = m & bad_bits
+        if bad:  # the witness is the lowest bad edge of the first such slice
+            (u, v), = _decode(bad & -bad)
+            kind = "self-loop" if u == v else "unknown endpoint in"
+            raise MalformedMessageError(f"{kind} {u}->{v} from {msg.sender}")
+    g._top = top
 
 
 def approx_absorb(state, r, received):
     """Round-r update: record direct in-edges with label r, then take the
     label-set union with every received snapshot.  Monotone: nothing is
-    ever removed."""
+    ever removed.  A well-formed state stays so, its highest label now
+    max(old, r), unless a sender is the owner (a self-loop)."""
     if not received:
         return state
-    for msg in received:
-        _validate_snapshot(msg, r)
-
+    owner, top = state.owner, state._top
     vertices = state.vertices
     slices = dict(state.slices)
     direct = 0
     for msg in received:
+        _validate_snapshot(msg, r)
+        if msg.sender == owner:
+            top = None
         g = msg.graph
-        direct |= 1 << _pair(msg.sender, state.owner)
+        direct |= 1 << _pair(msg.sender, owner)
         if not g.vertices <= vertices:
             vertices = vertices | g.vertices
         # Slices are shared by reference: a new one is taken as it is, and
@@ -297,7 +274,10 @@ def approx_absorb(state, r, received):
             elif old is not m and old | m != old:
                 slices[s] = old | m
     slices[r] = slices.get(r, 0) | direct
-    return ApproxState(state.owner, vertices, slices, state.pruned_before)
+    merged = ApproxState(owner, vertices, slices, state.pruned_before)
+    if top is not None:
+        merged._top = max(top, r)
+    return merged
 
 
 def approx_restrict(state, s):
@@ -418,4 +398,7 @@ def approx_prune(state, keep_after):
     if keep_after <= state.pruned_before:
         return state
     slices = {s: m for s, m in state.slices.items() if s >= keep_after}
-    return ApproxState(state.owner, state.vertices, slices, keep_after)
+    pruned = ApproxState(state.owner, state.vertices, slices, keep_after)
+    if state._top is not None:  # any part of a well-formed state is too
+        pruned._top = max(slices, default=0)
+    return pruned

@@ -94,19 +94,23 @@ def run(scenario, prune=False):
     At the start of each round every process emits an approximation snapshot
     and a consensus message; each receiver gets those of its in-neighbours in
     the round graph, in ascending sender order; absorb then cons_step run per
-    process.  Deciders keep emitting DECIDE.
+    process.  Deciders keep emitting DECIDE.  An unchanged state object
+    resends its last message.
     """
     n = scenario.n
     d = scenario.d_bound
     approx = [ap.approx_init(p) for p in range(n)]
     cons = [cs.cons_init(scenario.inputs[p]) for p in range(n)]
+    snapshots = [ap.approx_emit(st) for st in approx]
+    messages = [cs.cons_emit(st) for st in cons]
     trace = Trace(scenario=scenario, pruned=prune)
     decisions = trace.decisions
 
     for r in range(1, scenario.horizon + 1):
         in_masks = scenario.seq.round(r).in_masks()
-        snapshots = [ap.approx_emit(st) for st in approx]
-        messages = [cs.cons_emit(st) for st in cons]
+        snapshots = [m if m.graph is st else ap.approx_emit(st)
+                     for m, st in zip(snapshots, approx)]
+        sent, messages = messages, list(messages)
 
         events = {}
         evals = {}
@@ -123,9 +127,11 @@ def run(scenario, prune=False):
                 return result
 
             step, evs = cs.cons_step(
-                cons[p], r, [messages[u] for u in senders], predicate, d
+                cons[p], r, [sent[u] for u in senders], predicate, d
             )
-            cons[p] = step
+            if step is not cons[p]:
+                cons[p] = step
+                messages[p] = cs.cons_emit(step)
             if log:
                 evals[p] = log
             if evs:

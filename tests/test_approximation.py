@@ -169,7 +169,7 @@ def test_first_fault_in_precedence_order_is_reported():
          "unknown endpoint in 0->1 from 1"),
     ]
     for msg, text in cases:
-        for _ in range(2):  # the second absorb reads the cached facts
+        for _ in range(2):  # a failed check stores nothing; check again
             assert _absorb_error([msg], 4) == ("MalformedMessageError", text)
         assert _reference_error([msg], 4) == ("MalformedMessageError", text)
     # Between messages, the first faulty one in delivery order wins.
@@ -206,9 +206,90 @@ def forged_snapshots(draw):
                                     max_size=4))
 def test_absorb_errors_match_reference_validation(received, rounds):
     # The same message objects are absorbed at every round in turn, so the
-    # later absorbs read facts cached by the earlier ones.
+    # later absorbs read the facts that an earlier one stored.
     for r in rounds:
         assert _absorb_error(received, r) == _reference_error(received, r)
+
+
+def _assert_carried_facts_hold(state):
+    """A state that carries facts is a well-formed snapshot whose highest
+    label is `_top`."""
+    if state._top is not None:
+        assert state._top == max(state.slices, default=0)
+        _reference_validate(ApproxMessage(state.owner, state), state._top + 1)
+
+
+@st.composite
+def chain_steps(draw):
+    """One to twelve steps on a population of three states, addressed by
+    index: ("absorb", i, r, senders, forged messages added to theirs),
+    ("prune", i, keep_after) or ("swap", i, a state drawn by hand).  The
+    k-th absorb runs at round k or, now and then, a few rounds earlier, so
+    most can succeed and some fall below labels the receiver holds."""
+    steps, clock = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["absorb", "absorb", "prune", "swap"]))
+        i = draw(st.integers(0, 2))
+        if op == "absorb":
+            clock += 1
+            r = max(1, clock - draw(st.sampled_from([0, 0, 0, 1, 3])))
+            senders = draw(st.lists(st.integers(0, 2), min_size=1,
+                                    max_size=3))
+            forged = draw(forged_snapshots()) if draw(
+                st.sampled_from([False, False, True])) else []
+            steps.append((op, i, r, senders, forged))
+        elif op == "prune":
+            # Half the prunes drop every label up to the clock.
+            keep_after = draw(st.sampled_from([clock + 1, None]))
+            if keep_after is None:
+                keep_after = draw(st.integers(0, clock))
+            steps.append((op, i, keep_after))
+        else:
+            steps.append((op, i, draw(forged_snapshots())[0].graph))
+    return steps
+
+
+@given(chain_steps())
+# A self-sent message: the direct edge 0 -> 0 is a self-loop.
+@example([("absorb", 0, 1, [0], []), ("absorb", 1, 2, [0], [])])
+# A faulty slice (a self-loop with label 1) that pruning removes.
+@example([("swap", 0, ApproxState(0, {0, 1}, {1: 1 << _pair(0, 0),
+                                              3: 1 << _pair(1, 0)})),
+          ("prune", 0, 2), ("absorb", 1, 4, [0], [])])
+# An absorb at a round below a label the state holds keeps that label the
+# highest.
+@example([("absorb", 0, 5, [1], []), ("absorb", 0, 2, [1], []),
+          ("absorb", 1, 3, [0], [])])
+# A forged state swapped in mid-chain, then absorbed into and sent on.
+@example([("absorb", 0, 1, [1], []),
+          ("swap", 0, ApproxState(0, {0}, {2: 1 << _pair(0, 0)})),
+          ("absorb", 0, 3, [1], []), ("absorb", 2, 4, [0], [])])
+# Pruning every label of a state leaves no highest label.
+@example([("absorb", 0, 6, [1], []), ("prune", 0, 7),
+          ("absorb", 1, 3, [0], [])])
+def test_carried_facts_match_reference_validation_along_a_chain(steps):
+    # Each state's facts come from the transitions that made it; each
+    # absorb must still fail exactly as validating every message afresh.
+    states = [approx_init(p) for p in range(3)]
+    for op, i, *args in steps:
+        if op == "swap":
+            states[i] = args[0]
+        elif op == "prune":
+            states[i] = approx_prune(states[i], args[0])
+        else:
+            r, senders, forged = args
+            received = [approx_emit(states[j]) for j in senders] + forged
+            expected = _reference_error(received, r)
+            try:
+                merged = approx_absorb(states[i], r, received)
+            except ValueError as exc:  # MalformedMessageError included
+                assert (type(exc).__name__, str(exc)) == expected
+            else:
+                assert expected is None
+                states[i] = merged
+            for msg in received:
+                _assert_carried_facts_hold(msg.graph)
+        _assert_carried_facts_hold(states[i])
 
 
 @pytest.mark.parametrize("dropped", [1, 2, 3])

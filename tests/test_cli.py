@@ -285,6 +285,29 @@ def test_duplicate_edge_is_parse_error(argv, tmp_path, monkeypatch, capsys):
     assert captured.err == "parse error: rounds[2]: duplicate edge 1->0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "sc.json"],
+    ["oracle", "--scenario", "sc.json", "rst"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 200_000, "invalid JSON: nested too deeply"),
+    # Refused before any round graph is built: n sized lists would not fit.
+    ('{"n": 1000000000000000000000000000000, "D": 1, "horizon": 1,'
+     ' "inputs": [0, 1], "rounds": [[]], "meta": {}}',
+     "field inputs must list one value per process"),
+    ('{"n": 2, "D": 1, "horizon": 1, "inputs": [0, 1], "rounds": [[]],'
+     ' "meta": {}, "seed": 3}', "unknown field: seed"),
+], ids=["nested-brackets", "huge-n", "unknown-key"])
+def test_malformed_scenario_file_is_parse_error(argv, text, reason, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sc.json").write_text(text)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"parse error: {reason}\n"
+
+
 def test_identical_invocations_identical_bytes(tmp_path, capsys):
     outs = []
     for name in ("x", "y"):
