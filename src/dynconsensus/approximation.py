@@ -1,22 +1,28 @@
 """Per-process network approximation: the labeled digraph A_p.
 
-A_p is stored by round slice: bit `_pair(u, v)` of the int `slices[s]` is
-set iff edge u -> v carries label s.  `_pair` is Szudzik's pairing, so no
-bound on the vertex ids is needed; shell k, bits k*k .. k*k + 2k, holds the
-edges whose larger endpoint is k.  Merging is one OR per slice, pruning
-drops keys, and cutting a slice is one lookup.  States are immutable values,
-so they can be snapshotted into messages by reference.
+A_p is one packed int.  A slice, the edges that carry one round label,
+is a `width`-bit slot: bit `_pair(u, v)` of slot k is set iff edge u -> v
+carries label `pruned_before` + k.  `_pair` is Szudzik's pairing, so a slot
+needs no bound on the vertex ids beyond its own width; shell j, bits
+j*j .. j*j + 2j, holds the edges whose larger endpoint is j, and the width
+is (1 + k)**2 for the largest id k among the owner, the vertices and the
+edges' endpoints.  The width is a function of the state's value, so equal
+states are equal ints.  Merging is one OR per received snapshot (a
+narrower one is first restrided to the receiver's width), pruning is one
+right shift, and reading a slice is one shift and one mask.  States are
+immutable values, so they are snapshotted into messages by reference.
 
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
 (`_strong`, `_allowed_mask`, `_label_text`, `_edge`) are bounded
 module-level caches that every process shares.  The transitions keep a
 state's well-formedness up to date, so validating a received snapshot takes
-a few comparisons, not a pass over its slices.  Edge-major views are for
-reading traces:
-`ApproxState.edges` transposes one state, and an `EdgeCursor` walks one
-process's states in round order, moving its transposition by the slices
-that changed from state to state.
+a few comparisons, not a pass over its bits.  `changed_slices` finds the
+slices two states differ in from the XOR of their ints; it is how the
+approximation checker and `EdgeCursor` move from one state of a process to
+the next.  Edge-major views are for reading traces: `ApproxState.edges`
+transposes one state, and an `EdgeCursor` walks one process's states in
+round order, moving its transposition by the slices that changed.
 """
 
 from __future__ import annotations
@@ -58,6 +64,53 @@ def _decode(bits):
     return [_unpair(b) for b in _set_bits(bits)]
 
 
+def _width(ids):
+    """The slot width that holds every edge among `ids`: (1 + largest)**2,
+    a negative id counting as 0."""
+    return (1 + max(0, max(ids, default=0))) ** 2
+
+
+def _slots(packed, width):
+    """The slot ints of `packed`, lowest first, through the highest nonzero
+    one."""
+    mask, slots = (1 << width) - 1, []
+    while packed:
+        slots.append(packed & mask)
+        packed >>= width
+    return slots
+
+
+def _restride(packed, old, new):
+    """`packed` with its slots moved from `old` to `new` bits apart.  Only
+    pruning a malformed state narrows them, slot by slot, and each slot
+    must fit its new width.  Widening moves slot k up by k * (new - old)
+    in one masked shift per bit of k, the highest bit first (`_spread`)."""
+    if new <= old:
+        return (packed if new == old else
+                sum(m << k * new for k, m in enumerate(_slots(packed, old))))
+    top = (packed.bit_length() - 1) // old  # the highest slot, -1 if none
+    for mask, shift in _spread(old, new, top.bit_length()):
+        moved = packed & mask
+        packed = packed ^ moved | moved << shift
+    return packed
+
+
+@lru_cache(maxsize=256)
+def _spread(old, new, bits):
+    """The (mask, shift) steps that widen slots k < 2**bits from `old` to
+    `new` bits apart.  Step j moves the slots whose index has bit j set by
+    2**j * (new - old); before it, slot k sits at k * old plus its index's
+    bits above j times (new - old), so the slots stay in order and apart."""
+    d, ones, steps = new - old, (1 << old) - 1, []
+    for j in reversed(range(bits)):
+        mask = 0
+        for k in range(1 << j, 1 << bits):
+            if k >> j & 1:
+                mask |= ones << k * old + (k >> j + 1 << j + 1) * d
+        steps.append((mask, d << j))
+    return steps
+
+
 # Cache sizes come from the working sets of the benchmark corpora (n <= 20,
 # T <= 96), measured with every cache cleared before each scenario: at most
 # 66 distinct vertex sets and 1,170 label masks per scenario.
@@ -87,6 +140,39 @@ def _edge(b):
     return _unpair(b)
 
 
+def changed_slices(prev, state):
+    """[(s, old, new)] for every slice s whose edge bits differ from state
+    `prev` to `state`, ascending in s; `prev` None is the state without
+    slices.  A slice below `state`'s pruning cutoff that `prev` still holds
+    reads as new = 0.  The two ints are aligned to the wider width and the
+    lower cutoff, and the changed slots are read off their XOR from the
+    top, one bit length each."""
+    width, base = state.width, state.pruned_before
+    a, b = 0, state.packed
+    if prev is not None:
+        a = prev.packed
+        if prev.width != width:
+            width = max(width, prev.width)
+            a = _restride(a, prev.width, width)
+            b = _restride(b, state.width, width)
+        lift = state.pruned_before - prev.pruned_before
+        if lift > 0:
+            b <<= lift * width
+            base = prev.pruned_before
+        elif lift < 0:
+            a <<= -lift * width
+    diff, mask, changed = a ^ b, (1 << width) - 1, []
+    while diff:
+        k = (diff.bit_length() - 1) // width
+        shift = k * width
+        flips = diff >> shift  # slot k's changed bits, the top slot left
+        diff ^= flips << shift
+        new = b >> shift & mask
+        changed.append((base + k, new ^ flips, new))
+    changed.reverse()
+    return changed
+
+
 class EdgeCursor:
     """The slice -> edge transposition of one process's states, read in
     round order.  Consecutive states differ in a few slices, so moving to
@@ -96,34 +182,31 @@ class EdgeCursor:
     `_edge(b)`; `frags[(u, v)]` is the edge's JSON fragment
     "[u, v, [l1, ..., lk]]" and `order` the sorted list of the edges."""
 
-    __slots__ = ("slices", "masks", "frags", "order")
+    __slots__ = ("state", "masks", "frags", "order")
 
     def __init__(self):
-        self.slices, self.masks, self.frags = {}, {}, {}
+        self.state = None
+        self.masks, self.frags = {}, {}
         self.order = []
 
-    def edges_json(self, slices):
-        """Exactly `json.dumps(state.sorted_edges())` for the state with
-        these `slices`."""
-        if slices is not self.slices:
-            self._move(slices)
+    def edges_json(self, state):
+        """Exactly `json.dumps(state.sorted_edges())`."""
+        if state is not self.state:
+            self._move(state)
         return "[" + ", ".join(map(self.frags.__getitem__, self.order)) + "]"
 
-    def _move(self, slices):
-        """Diff `slices` against the held dict: XOR each changed slice's
-        bits into the edge masks and re-render only the touched edges.
-        Vanished edges are filtered out of `order`; appeared ones are
-        appended and merged in by a sort of the mostly sorted list."""
-        masks, held, touched = self.masks, self.slices, {}
-        flips = [(s, m ^ held.get(s, 0)) for s, m in slices.items()
-                 if m is not held.get(s)]  # absorb shares unchanged ints
-        flips += [(s, m) for s, m in held.items() if s not in slices]
-        for s, diff in flips:
+    def _move(self, state):
+        """XOR each slice that changed since the held state into the edge
+        masks and re-render only the touched edges.  Vanished edges are
+        filtered out of `order`; appeared ones are appended and merged in by
+        a sort of the mostly sorted list."""
+        masks, touched = self.masks, {}
+        for s, old, new in changed_slices(self.state, state):
             label = 1 << s
-            for b in _set_bits(diff):
-                old = masks.get(b, 0)
-                touched.setdefault(b, old)
-                masks[b] = old ^ label
+            for b in _set_bits(old ^ new):
+                before = masks.get(b, 0)
+                touched.setdefault(b, before)
+                masks[b] = before ^ label
         frags, order, vanished, appeared = self.frags, self.order, False, []
         for b, before in touched.items():
             e = _edge(b)
@@ -141,41 +224,43 @@ class EdgeCursor:
             order += appeared
             order.sort()
         self.order = order
-        self.slices = slices
+        self.state = state
 
 
 @dataclass(repr=False, slots=True)
 class ApproxState:
-    """Process p's approximation digraph: owner, vertices, and `slices`,
-    which maps round s to the int of its edge bits (no value is 0).  Slices
-    before `pruned_before` were dropped by pruning.  `edges`
+    """Process p's approximation digraph: owner, vertices, and `packed`,
+    whose slot k, `width` bits from bit k * width, holds the edge bits of
+    slice `pruned_before` + k.  Slices before `pruned_before` were dropped
+    by pruning, and no state holds a label below it.  `width` is
+    (1 + k)**2 for the largest id k among the owner, the vertices and the
+    edges' endpoints (0 if none is positive); the transitions keep it so,
+    and any other way of building a state must too.  `slices`
+    ({round: edge bits}, nonzero slots only), `edges`
     ({(u, v): label mask}) and `sorted_edges` are derived views.
 
-    `_top`, derived and not part of the value, is the highest label (0 if
-    none) once the state is known to be well formed: the owner a vertex,
-    no negative id, no label below 1, no self-loop or unknown endpoint.
-    The transitions set it; a state built any other way gets it from its
-    first full check in `_validate_snapshot`.  States must not be mutated."""
+    `_ok`, derived and not part of the value, says the state is known to be
+    well formed: the owner a vertex, no negative id, no label below 1, no
+    self-loop or unknown endpoint.  The transitions set it; a state built
+    any other way gets it from its first full check in
+    `_validate_snapshot`.  States must not be mutated."""
 
     owner: int
     vertices: frozenset
-    slices: dict
+    packed: int = 0
     pruned_before: int = 0
-    _top: int | None = field(default=None, init=False, compare=False)
+    width: int = 1
+    _ok: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
         self.vertices = frozenset(self.vertices)
 
-    @classmethod
-    def from_edges(cls, owner, vertices, edges, pruned_before=0):
-        """A state from an edge dict {(u, v): label mask}."""
-        slices = {}
-        for (u, v), mask in edges.items():
-            if mask <= 0 or min(u, v) < 0:
-                raise ValueError(f"edge {u}->{v}: negative id or no label")
-            for s in _bits(mask):
-                slices[s] = slices.get(s, 0) | 1 << _pair(u, v)
-        return cls(owner, vertices, slices, pruned_before)
+    @property
+    def slices(self):
+        """{round: edge bits} of every nonempty slice, ascending."""
+        base = self.pruned_before
+        return {base + k: m
+                for k, m in enumerate(_slots(self.packed, self.width)) if m}
 
     @property
     def edges(self):
@@ -208,8 +293,8 @@ class ApproxMessage:
 
 def approx_init(p):
     """Fresh state: the singleton graph ({p}, no edges)."""
-    state = ApproxState(owner=p, vertices=(p,), slices={})
-    state._top = 0 if p >= 0 else None  # a negative id is never well formed
+    state = ApproxState(owner=p, vertices=(p,), width=_width((p,)))
+    state._ok = p >= 0  # a negative id is never well formed
     return state
 
 
@@ -220,64 +305,79 @@ def approx_emit(state):
 
 def _validate_snapshot(msg, r):
     """Raise `MalformedMessageError` unless `msg` is a well-formed round-r
-    snapshot, checking, in this order: the owner, the labels within
-    [1, r - 1], and every edge between two distinct vertices of the
-    snapshot.  A state with `_top` set needs two comparisons; any other
-    message is checked in full, and a state that passes keeps its `_top`."""
+    snapshot, checking, in this order: the owner, the labels of the
+    nonempty slices within [1, r - 1], and every edge between two distinct
+    vertices of the snapshot.  The lowest and highest label come from the
+    lowest and highest set bit, and the edges from one AND per slot with
+    the cached allowed-edge mask.  A state known to be well formed needs
+    only the sender and its highest label; any other message is checked in
+    full, and a state that passes is known well formed."""
     g = msg.graph
-    top = g._top
-    if top is not None and top < r and msg.sender == g.owner:
+    packed, width, base = g.packed, g.width, g.pruned_before
+    top = base + (packed.bit_length() - 1) // width  # base - 1 if none
+    if g._ok and top < r and msg.sender == g.owner:
         return
     if msg.sender != g.owner or g.owner not in g.vertices:
         raise MalformedMessageError(
             f"snapshot owner mismatch from {msg.sender}")
-    top = max(g.slices, default=0)
-    if min(g.slices, default=1) < 1 or top >= r:
+    if packed and (base + ((packed & -packed).bit_length() - 1) // width < 1
+                   or top >= r):
         raise MalformedMessageError(
             f"snapshot from {msg.sender} carries labels outside [1, {r - 1}]")
-    bad_bits = ~_allowed_mask(g.vertices)  # raises on a negative vertex id
-    for m in g.slices.values():
-        bad = m & bad_bits
-        if bad:  # the witness is the lowest bad edge of the first such slice
-            (u, v), = _decode(bad & -bad)
+    forbidden = ~_allowed_mask(g.vertices)  # raises on a negative vertex id
+    for m in _slots(packed, width):
+        bad = m & forbidden
+        if bad:  # the witness is the lowest bad edge of the lowest bad slice
+            u, v = _unpair((bad & -bad).bit_length() - 1)
             kind = "self-loop" if u == v else "unknown endpoint in"
             raise MalformedMessageError(f"{kind} {u}->{v} from {msg.sender}")
-    g._top = top
+    g._ok = True
 
 
 def approx_absorb(state, r, received):
     """Round-r update: record direct in-edges with label r, then take the
-    label-set union with every received snapshot.  Monotone: nothing is
-    ever removed.  A well-formed state stays so, its highest label now
-    max(old, r), unless a sender is the owner (a self-loop)."""
+    label-set union with every received snapshot: one OR each, the narrower
+    of the two ints restrided first and the snapshot's slots moved to the
+    receiver's cutoff.  Monotone above that cutoff: labels below it,
+    whether a sender's or r itself, are not taken.  A well-formed state
+    stays so, unless a sender is the owner (a self-loop)."""
     if not received:
         return state
-    owner, top = state.owner, state._top
-    vertices = state.vertices
-    slices = dict(state.slices)
-    direct = 0
+    owner, base, vertices = state.owner, state.pruned_before, state.vertices
+    packed, width = state.packed, state.width
+    ok, direct = state._ok and r >= 1, 0
     for msg in received:
         _validate_snapshot(msg, r)
-        if msg.sender == owner:
-            top = None
         g = msg.graph
+        if msg.sender == owner:
+            ok = False
         direct |= 1 << _pair(msg.sender, owner)
         if not g.vertices <= vertices:
             vertices = vertices | g.vertices
-        # Slices are shared by reference: a new one is taken as it is, and
-        # one that is already the receiver's int needs no union.
-        for s, m in g.slices.items():
-            old = slices.get(s)
-            if old is None:
-                if m:
-                    slices[s] = m
-            elif old is not m and old | m != old:
-                slices[s] = old | m
-    slices[r] = slices.get(r, 0) | direct
-    merged = ApproxState(owner, vertices, slices, state.pruned_before)
-    if top is not None:
-        merged._top = max(top, r)
+        m = g.packed
+        if g.width > width:
+            packed, width = _restride(packed, width, g.width), g.width
+        elif g.width < width:
+            m = _restride(m, g.width, width)
+        shift = (g.pruned_before - base) * width
+        if shift:  # a shift by 0 would still copy the int
+            m = m << shift if shift > 0 else m >> -shift
+        packed |= m
+    if r >= base:
+        packed |= direct << (r - base) * width
+    merged = ApproxState(owner, vertices, packed, base, width)
+    merged._ok = ok
     return merged
+
+
+def _slot(state, s):
+    """The edge bits of slice s: 0 below the pruning cutoff or above the
+    highest label."""
+    k = s - state.pruned_before
+    if k < 0:
+        return 0
+    width = state.width
+    return state.packed >> k * width & (1 << width) - 1
 
 
 def approx_restrict(state, s):
@@ -287,7 +387,7 @@ def approx_restrict(state, s):
     """
     if s < 1:
         raise ValueError("rounds are 1-based")
-    edges = frozenset(_decode(state.slices.get(s, 0)))
+    edges = frozenset(_decode(_slot(state, s)))
     return frozenset((state.owner,)).union(*edges), edges
 
 
@@ -365,7 +465,7 @@ def detected_component(state, s):
         raise ValueError("rounds are 1-based")
     if s < state.pruned_before:
         return frozenset()
-    m = state.slices.get(s)
+    m = _slot(state, s)
     if not m:
         return frozenset((state.owner,))
     comp = _strong(m)
@@ -388,17 +488,25 @@ def in_stable_root(state, interval, current_round):
 
 
 def approx_prune(state, keep_after):
-    """Drop all labels < keep_after and edges whose label set empties.
+    """Drop all labels < keep_after and edges whose label set empties: one
+    right shift of the packed int.
 
-    Vertices are retained.  Slices below the cutoff subsequently report no
-    data rather than a spuriously empty-looking graph.
+    Vertices are retained, so a well-formed state keeps its width; a state
+    not known to be well formed may lose the edge with the largest unknown
+    endpoint, so its width is recomputed.  Slices below the cutoff
+    subsequently report no data rather than a spuriously empty-looking
+    graph.
     """
     if keep_after < 0:
         raise ValueError("keep_after must be >= 0")
-    if keep_after <= state.pruned_before:
+    base, width = state.pruned_before, state.width
+    if keep_after <= base:
         return state
-    slices = {s: m for s, m in state.slices.items() if s >= keep_after}
-    pruned = ApproxState(state.owner, state.vertices, slices, keep_after)
-    if state._top is not None:  # any part of a well-formed state is too
-        pruned._top = max(slices, default=0)
+    packed = state.packed >> (keep_after - base) * width
+    if not state._ok:
+        ends = (isqrt(m.bit_length() - 1) for m in _slots(packed, width) if m)
+        new = _width([state.owner, *state.vertices, *ends])
+        packed, width = _restride(packed, width, new), new
+    pruned = ApproxState(state.owner, state.vertices, packed, keep_after, width)
+    pruned._ok = state._ok
     return pruned

@@ -32,7 +32,7 @@ def approx_digest(state, cursor):
     with the edges as sorted [u, v, [labels]], rendered by `cursor`, an
     `EdgeCursor` that reads this process's states."""
     payload = (
-        f'{{"edges": {cursor.edges_json(state.slices)}, '
+        f'{{"edges": {cursor.edges_json(state)}, '
         f'"owner": {state.owner}, '
         f'"pruned_before": {state.pruned_before}, '
         f'"vertices": {_vertices_json(state.vertices)}}}'
@@ -160,7 +160,8 @@ def trace_save(trace, path):
     A round line's `delivered` (each receiver's ascending senders) comes from
     the round graph through `_senders`, as the engine's deliveries do, and
     its `approx` digests from the recorded states, one `EdgeCursor` per
-    process moving forward through that process's states."""
+    process moving forward through that process's states by the slices
+    that changed."""
     sc = trace.scenario
     cursors = [ap.EdgeCursor() for _ in range(sc.n)]
     with open(path, "w") as fh:
@@ -271,13 +272,15 @@ def check_approx_invariants(trace):
     slice, soundness of nonempty detected components, detection completeness
     over D-bounded stable root intervals, and the end-of-interval predicate.
 
-    The slice rules work on `ApproxState.slices` ints directly.  Each round
-    graph G^t is encoded once, in the slices' own layout (bit `_pair(u, v)`
-    for edge u -> v), as one in-edge mask per receiver and their OR, the
-    whole-graph mask.  A slice m breaks the subset rule iff `m & ~graph` is
-    nonzero; given that, its receivers are the w with `m & col[w]`, and it
-    misses an in-edge iff the OR of their `col[w]` has bits outside m.  Bits
-    are decoded only for a witness, the smallest offending edge.
+    The slice rules work on slice ints directly: `ap.changed_slices` gives
+    each slice that differs from the process's previous state, with its old
+    and new edge bits.  Each round graph G^t is encoded once, in the
+    slices' own layout (bit `_pair(u, v)` for edge u -> v), as one in-edge
+    mask per receiver and their OR, the whole-graph mask.  A slice m breaks
+    the subset rule iff `m & ~graph` is nonzero; given that, its receivers
+    are the w with `m & col[w]`, and it misses an in-edge iff the OR of
+    their `col[w]` has bits outside m.  Bits are decoded only for a
+    witness, the smallest offending edge.
 
     A slice that only gained bits since the process's previous state is
     tested on the added bits alone: the old bits passed, so every column
@@ -325,22 +328,21 @@ def check_approx_invariants(trace):
         return CheckerVerdict("approx", "fail", witness={"rule": rule, **witness})
 
     for p in range(n):
-        prev, owner, cutoff = {}, p, 0
+        prev, owner, cutoff = None, p, 0
         for r in range(1, horizon + 1):
             state = trace.records[r - 1].approx[p]
-            slices = state.slices
-            changed = sorted(t for t, m in slices.items() if prev.get(t) != m)
-            for t in changed:
+            changed = ap.changed_slices(prev, state)
+            for t, old, m in changed:
+                if not m:  # vanished: only soundness can change
+                    continue
                 if not 1 <= t <= r:
                     rule = "label_from_future" if t > r else "label_out_of_range"
                     return fail(rule, process=p, round=r, slice=t)
                 graph, cols, col_of = masks[t]
-                m = slices[t]
                 forged = m & ~graph
                 if forged:
                     return fail("subset", process=p, round=r, slice=t,
                                 edge=list(min(ap._decode(forged))))
-                old = prev.get(t, 0)
                 if not old & ~m:
                     rest = m ^ old
                     while rest:
@@ -364,12 +366,11 @@ def check_approx_invariants(trace):
             if state.owner != owner or state.pruned_before < cutoff:
                 recheck = range(1, r)
             else:
-                recheck = {t for t in changed if t < r}
-                recheck.update(t for t in prev if t not in slices)
+                recheck = {t for t, _, m in changed if t < r or not m}
                 if r > 1:
                     recheck.add(r - 1)
                 recheck = sorted(recheck)
-            prev, owner, cutoff = slices, state.owner, state.pruned_before
+            prev, owner, cutoff = state, state.owner, state.pruned_before
             for s in recheck:
                 comp = ap.detected_component(state, s)
                 if comp and (p not in comp or comp not in roots[s - 1].roots):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynconsensus.adversary import _is_int
 from dynconsensus.cli import main
 
 
@@ -357,3 +363,183 @@ def test_batch_negative_count_exits_2(tmp_path, capsys):
     assert code == 2
     assert "--count" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# The stderr prefix of every exit 2 the CLI gives on a file it reads.
+REFUSALS = ("parse error: ", "bad query: ", "io error: ")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(-2, 8)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, data):
+    """One mutation of a scenario dict, in place.  Most keep it plausible:
+    D, n or an input set to a small int, an edge added or dropped, a round
+    added or dropped with the horizon kept in step.  The rest are wild: a
+    field or an edge endpoint replaced by any small JSON value, or a field
+    deleted or added."""
+    kind = draw(st.sampled_from(["D", "n", "input", "edge", "edge", "unedge",
+                                 "round", "unround", "field", "endpoint",
+                                 "delete", "add"]))
+    rounds = data.get("rounds")
+    edge_sets = ([r for r in rounds if isinstance(r, list)]
+                 if isinstance(rounds, list) else [])
+    if kind in ("D", "n"):
+        data[kind] = draw(st.integers(-1, 6))
+    elif kind == "input" and isinstance(data.get("inputs"), list):
+        inputs = data["inputs"]
+        if inputs and draw(st.booleans()):
+            inputs[draw(st.integers(0, len(inputs) - 1))] = draw(
+                st.integers(-3, 8) | json_values)
+        elif inputs and draw(st.booleans()):
+            inputs.pop()
+        else:
+            inputs.append(draw(st.integers(-3, 8)))
+    elif kind == "edge" and edge_sets:
+        draw(st.sampled_from(edge_sets)).append(
+            [draw(st.integers(-1, 5)), draw(st.integers(-1, 5))])
+    elif kind == "unedge" and any(edge_sets):
+        edges = draw(st.sampled_from([e for e in edge_sets if e]))
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif kind in ("round", "unround") and edge_sets:
+        if kind == "round":
+            rounds.append(list(draw(st.sampled_from(edge_sets))))
+        else:
+            rounds.pop()
+        if _is_int(data.get("horizon")):
+            data["horizon"] = len(rounds)
+    elif kind == "field":
+        data[draw(st.sampled_from(sorted(data) or ["n"]))] = draw(json_values)
+    elif kind == "endpoint" and any(edge_sets):
+        edge = draw(st.sampled_from([e for e in edge_sets if e]))[0]
+        if isinstance(edge, list) and edge:
+            edge[draw(st.integers(0, len(edge) - 1))] = draw(json_values)
+    elif kind == "delete" and data:
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif kind == "add":
+        data[draw(st.text(max_size=3))] = draw(json_values)
+
+
+@st.composite
+def scenario_texts(draw):
+    """The JSON text of a small valid scenario after one to three
+    mutations, and now and then cut short or with a character replaced."""
+    data = json.loads(draw(st.sampled_from(SMALL_SCENARIOS)))
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, data)
+    text = json.dumps(data)
+    cut = draw(st.none() | st.none() | st.none() | st.integers(0, len(text)))
+    if cut is not None:
+        if draw(st.booleans()):
+            text = text[:cut]
+        else:
+            text = text[:cut] + draw(st.characters()) + text[cut + 1:]
+    return text
+
+
+def _scenario_json(gen, *flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sc.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--gen", gen, *flags, "--out", path]) == 0
+        with open(path) as fh:
+            return fh.read()
+
+
+SMALL_SCENARIOS = [
+    _scenario_json("static_star", "--n", "3", "--horizon", "4"),
+    _scenario_json("stable_window", "--n", "3", "--d", "1", "--r-st", "1"),
+    _scenario_json("two_roots", "--horizon", "3"),
+]
+
+COMMANDS = [
+    ["run"], ["run", "--prune"], ["run", "--quick"],
+    ["run", "--prune", "--trace", "TRACE"],
+    ["oracle", "rst"], ["oracle", "roots"], ["oracle", "roots", "2"],
+    ["oracle", "cd", "0", "1", "1"], ["oracle", "diam", "1", "2"],
+    ["oracle", "cd", "0", "x", "1"],
+]
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(scenario_texts(), st.sampled_from(COMMANDS))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_scenario_files_keep_the_exit_code_contract(text, command):
+    # Any exception escaping `main` fails the test.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sc.json")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        name, *rest = command
+        rest = [os.path.join(tmp, "t.jsonl") if a == "TRACE" else a
+                for a in rest]
+        if name == "oracle":
+            argv = ["oracle", "--scenario", path, *rest]
+        else:
+            argv = ["run", "--scenario", path, *rest]
+        code, _, err = _main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith(REFUSALS), err
+
+
+@st.composite
+def report_texts(draw):
+    """A batch report CSV with characters replaced, lines dropped or
+    repeated, and fields added or emptied."""
+    lines = REPORT_CSV.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["char", "drop", "repeat", "field"]))
+        line = lines[i]
+        if kind == "char" and line:
+            j = draw(st.integers(0, len(line) - 1))
+            lines[i] = line[:j] + draw(st.characters()) + line[j + 1:]
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, line)
+        else:
+            lines[i] = line.rstrip("\r\n") + draw(
+                st.sampled_from([",", ",x", ',"', ',""'])) + "\n"
+    return "".join(lines)
+
+
+def _report_csv():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["batch", "--gen", "static_star", "--n", "3", "--horizon",
+                  "4", "--count", "2", "--out", path])
+        with open(path, newline="") as fh:
+            return fh.read()
+
+
+REPORT_CSV = _report_csv()
+
+
+@given(report_texts())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_report_csvs_keep_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass",
+                  newline="") as fh:
+            fh.write(text)
+        code, _, err = _main(["report", path, "--out",
+                              os.path.join(tmp, "out.csv")])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(REFUSALS), err

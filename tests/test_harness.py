@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconsensus import (
-    ApproxState,
     GraphSequence,
     RoundGraph,
     Scenario,
@@ -31,6 +30,7 @@ from dynconsensus import (
 from dynconsensus import graphs, harness
 from dynconsensus.approximation import _pair
 from dynconsensus.harness import REPORT_COLUMNS, CheckerVerdict
+from forgery import forge
 
 
 def three_cycle(horizon=12, inputs=(1, 5, 3), d=2):
@@ -180,9 +180,7 @@ class TestCheckers:
         state = trace.records[5].approx[0]
         forged = dict(state.edges)
         forged[(2, 1)] = 1 << 3  # (2 -> 1) never exists in the 3-cycle
-        trace.records[5].approx[0] = ApproxState.from_edges(
-            owner=0, vertices=state.vertices | {2, 1}, edges=forged
-        )
+        trace.records[5].approx[0] = forge(0, state.vertices | {2, 1}, edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness["rule"] in ("subset", "in_neighborhood")
@@ -194,9 +192,7 @@ class TestCheckers:
         state = trace.records[5].approx[0]
         forged = dict(state.edges)
         forged[(2, 0)] = forged.get((2, 0), 0) | 1  # label 0
-        trace.records[5].approx[0] = ApproxState.from_edges(
-            owner=0, vertices=state.vertices, edges=forged
-        )
+        trace.records[5].approx[0] = forge(0, state.vertices, edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
@@ -210,9 +206,7 @@ class TestCheckers:
         forged = dict(state.edges)
         forged[(2, 9)] = 1 << 4  # vertices 7 and 9 do not exist for n = 3
         forged[(1, 7)] = 1 << 4
-        trace.records[5].approx[0] = ApproxState.from_edges(
-            owner=0, vertices=state.vertices | {7, 9}, edges=forged
-        )
+        trace.records[5].approx[0] = forge(0, state.vertices | {7, 9}, edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
@@ -236,9 +230,7 @@ class TestCheckers:
             forged[e] &= ~(1 << 3)
             if not forged[e]:
                 del forged[e]
-        trace.records[2].approx[0] = ApproxState.from_edges(
-            owner=0, vertices=state.vertices, edges=forged
-        )
+        trace.records[2].approx[0] = forge(0, state.vertices, edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
@@ -259,10 +251,8 @@ class TestCheckers:
         state = trace.records[r - 1].approx[0]
         forged = dict(state.edges)
         forged[(1, 2)] = 1 << t  # the star has no edge 1 -> 2
-        trace.records[r - 1].approx[0] = ApproxState.from_edges(
-            owner=0, vertices=state.vertices, edges=forged,
-            pruned_before=state.pruned_before,
-        )
+        trace.records[r - 1].approx[0] = forge(0, state.vertices, None, state.pruned_before,
+                                                 edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness["rule"] in ("subset", "in_neighborhood")
@@ -288,7 +278,7 @@ class TestCheckers:
         trace = run(gen_stable_window(seed=1, n=5, d_bound=2, r_st=3))
         state = trace.records[7].approx[0]
         slices = {s: m for s, m in state.slices.items() if s != 4}
-        trace.records[7].approx[0] = ApproxState(
+        trace.records[7].approx[0] = forge(
             state.owner, state.vertices, slices, state.pruned_before)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
@@ -303,7 +293,7 @@ class TestCheckers:
                     prune=True)
         state = trace.records[-1].approx[0]
         assert state.pruned_before > 1
-        trace.records[-1].approx[0] = ApproxState(
+        trace.records[-1].approx[0] = forge(
             state.owner, state.vertices, state.slices, 0)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
@@ -529,7 +519,10 @@ def _forge(state, kind, t, rng):
     elif kind == "change_owner":
         owner = rng.randrange(len(vertices) + 1)
         vertices = vertices | {owner}
-    return ApproxState(owner, vertices, slices, cutoff)
+    # No state holds a label below its cutoff, so a forged label there
+    # lowers the cutoff with it.
+    cutoff = min([cutoff, *(s for s, m in slices.items() if m)])
+    return forge(owner, vertices, slices, cutoff)
 
 
 FORGERIES = ("add_edge", "drop_in_edge", "drop_slice", "bad_label",
