@@ -18,11 +18,11 @@ from A_p repeat across processes.  The pure functions of immutable values
 module-level caches that every process shares.  The transitions keep a
 state's well-formedness up to date, so validating a received snapshot takes
 a few comparisons, not a pass over its bits.  `changed_slices` finds the
-slices two states differ in from the XOR of their ints; it is how the
-approximation checker and `EdgeCursor` move from one state of a process to
-the next.  Edge-major views are for reading traces: `ApproxState.edges`
-transposes one state, and an `EdgeCursor` walks one process's states in
-round order, moving its transposition by the slices that changed.
+slices two states differ in from the XOR of their ints; the approximation
+checker compares it with the changes the graph sequence implies.
+Edge-major views are for reading traces: `ApproxState.edges` transposes
+one state, and an `EdgeCursor` walks one process's states in round order,
+moving its transposition by the slices that changed.
 """
 
 from __future__ import annotations

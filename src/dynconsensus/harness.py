@@ -3,7 +3,9 @@
 The engine wires the approximation and consensus state machines to a
 scenario's graph sequence.  Checkers compare the recorded trace against the
 graph oracle's facts about the scenario (`Scenario.facts`, computed once per
-scenario), which never look at protocol state.
+scenario), which never look at protocol state.  The approximation checker
+also folds the graph sequence into every process's exact A_p, so each
+recorded state is compared with its value, not tested against lemmas.
 """
 
 from __future__ import annotations
@@ -267,121 +269,117 @@ def check_termination_bound(trace):
 
 
 def check_approx_invariants(trace):
-    """Oracle verification of the approximation layer on every round state:
-    under-approximation and in-neighborhood completeness of each changed
-    slice, soundness of nonempty detected components, detection completeness
-    over D-bounded stable root intervals, and the end-of-interval predicate.
+    """Oracle verification of the approximation layer: each round state
+    must be A_p exactly as the graph sequence fixes it, and three rules
+    check what the protocol computes from A_p.
 
-    The slice rules work on slice ints directly: `ap.changed_slices` gives
-    each slice that differs from the process's previous state, with its old
-    and new edge bits.  Each round graph G^t is encoded once, in the
-    slices' own layout (bit `_pair(u, v)` for edge u -> v), as one in-edge
-    mask per receiver and their OR, the whole-graph mask.  A slice m breaks
-    the subset rule iff `m & ~graph` is nonzero; given that, its receivers
-    are the w with `m & col[w]`, and it misses an in-edge iff the OR of
-    their `col[w]` has bits outside m.  Bits are decoded only for a
-    witness, the smallest offending edge.
+    Slice s of A_p^r holds the G^s in-edges of every v whose round-s state
+    has reached p by round r, and its vertices are the processes whose
+    initial state has.  A pruned run keeps the paper's 4D+1-slice window,
+    so `pruned_before` is max(0, r - 4D), from the trace's pruning flag and
+    D.  A fold over the round graphs keeps, per process w, one int
+    `heard[w]` whose n-bit slot s is the set of v whose round-s state w has
+    heard.  Each round it ORs in the previous `heard[u]` of each
+    in-neighbour u, sets bit w of slot r and, pruned, clears slots
+    1 .. r - 4D - 1 (slot 0, the vertices, stays).  A slot that grew ORs
+    the receiver columns of the newly heard v, their in-edge bits
+    `_pair(u, v)`, into that process's expected slice.
 
-    A slice that only gained bits since the process's previous state is
-    tested on the added bits alone: the old bits passed, so every column
-    they touch lies inside them, and the slice passes iff the added bits
-    are a union of whole columns.  `col_of` maps an edge's bit to its
-    receiver's column; the test XORs out the column of the highest bit left
-    and gives up when that column reaches above it, so what it clears are
-    disjoint columns inside the added bits.  A slice that lost bits, or
-    fails this test, runs the all-columns loop, which finds the witness.
+    Round by round, then process by process, a state must have owner p and
+    the expected `pruned_before` and `vertices`, and `ap.changed_slices`
+    from the previous state must list exactly the expected changes: the
+    previous state matched, so then the whole state does.  A witness names
+    the first differing slice and its smallest extra or missing edge, or
+    the smallest extra or missing vertex.
 
-    Soundness is checked on a completed slice s < r only when its verdict
-    can differ from round r - 1's: a slice that changed, appeared or
-    disappeared, and the slice r - 1 just completed.  A detected component
-    depends only on the owner, the slice's int and `pruned_before`, so every
-    other slice passed at r - 1 and passes again; if the owner changes or
-    `pruned_before` goes down, every s < r is checked.  Ascending order
-    keeps the first failing (process, round, slice) the same as a check of
-    every slice of every state.
-
-    A pruned run keeps only the paper's 4D+1-slice window: at round t the
-    slices before t - 4D are gone, so the completeness rules check only the
-    slices that window retains.  The cutoff comes from the trace's pruning
-    flag and D, never from protocol state.
+    Exactness does not cover `detected_component` and `in_stable_root`, so
+    soundness (a nonempty detected component of a completed slice is a root
+    component holding the owner), detection latency over D-bounded stable
+    root intervals and the end-of-interval predicate remain.  A detected
+    component depends only on the owner, the slice and `pruned_before`, so
+    soundness is checked at round r on the slices that changed and on slice
+    r - 1, completed this round; every other slice passed a round earlier.
     """
     sc = trace.scenario
     seq, n, d, horizon = sc.seq, sc.n, sc.d_bound, sc.horizon
     roots = sc.facts.roots
-
-    def encode(g):
-        """(whole-graph mask, per-receiver in-edge masks, {edge bit: its
-        receiver's mask}) of a round graph; every edge's bit is in exactly
-        one receiver's mask."""
-        in_masks = g.in_masks()
-        cols, col_of = [], {}
-        for w in range(n):
-            bits = [ap._pair(u, w) for u in _bits(in_masks[w])]
-            col = sum(1 << b for b in bits)
-            cols.append(col)
-            col_of.update(dict.fromkeys(bits, col))
-        return sum(cols), cols, col_of
-
-    masks = [None] + [encode(seq.round(t)) for t in range(1, horizon + 1)]
+    slot = (1 << n) - 1
+    # A round-t state holds the slices from t - retained on.
+    retained = 4 * d if trace.pruned else horizon
+    heard = [1 << w for w in range(n)]
+    vertices = [frozenset((w,)) for w in range(n)]
+    expected = [[0] * (horizon + 1) for _ in range(n)]  # [w][s]: slice s
+    cols = [None]  # cols[s][v]: the in-edge bits of v in G^s
+    states = [None] * n
 
     def fail(rule, **witness):
         return CheckerVerdict("approx", "fail", witness={"rule": rule, **witness})
 
-    for p in range(n):
-        prev, owner, cutoff = None, p, 0
-        for r in range(1, horizon + 1):
-            state = trace.records[r - 1].approx[p]
-            changed = ap.changed_slices(prev, state)
-            for t, old, m in changed:
-                if not m:  # vanished: only soundness can change
-                    continue
-                if not 1 <= t <= r:
-                    rule = "label_from_future" if t > r else "label_out_of_range"
-                    return fail(rule, process=p, round=r, slice=t)
-                graph, cols, col_of = masks[t]
-                forged = m & ~graph
-                if forged:
-                    return fail("subset", process=p, round=r, slice=t,
-                                edge=list(min(ap._decode(forged))))
-                if not old & ~m:
-                    rest = m ^ old
-                    while rest:
-                        top = rest.bit_length()
-                        col = col_of[top - 1]
-                        if col.bit_length() != top:
-                            break
-                        rest ^= col
-                    else:
-                        continue
-                need = 0
-                for col in cols:
-                    if m & col:
-                        need |= col
-                missing = need & ~m
-                if missing:
-                    return fail("in_neighborhood", process=p, round=r,
-                                slice=t, missing=list(min(ap._decode(missing))))
-            # Soundness: a nonempty detected component for a completed slice
-            # is exactly a root component containing the owner.
-            if state.owner != owner or state.pruned_before < cutoff:
-                recheck = range(1, r)
-            else:
-                recheck = {t for t, _, m in changed if t < r or not m}
-                if r > 1:
-                    recheck.add(r - 1)
-                recheck = sorted(recheck)
-            prev, owner, cutoff = state, state.owner, state.pruned_before
-            for s in recheck:
+    for r in range(1, horizon + 1):
+        senders = [tuple(_bits(m)) for m in seq.round(r).in_masks()]
+        cols.append([sum(1 << ap._pair(u, v) for u in us)
+                     for v, us in enumerate(senders)])
+        cut = max(0, r - retained)
+        before, heard = heard, []
+        for w, us in enumerate(senders):
+            h = before[w] | 1 << r * n + w
+            for u in us:
+                h |= before[u]
+            heard.append(h & (-1 << cut * n | slot))
+        prev, states = states, trace.records[r - 1].approx
+
+        for p in range(n):
+            state = states[p]
+            if state.owner != p:
+                return fail("owner", process=p, round=r, owner=state.owner)
+            if state.pruned_before != cut:
+                return fail("pruned_before", process=p, round=r,
+                            pruned_before=state.pruned_before, expected=cut)
+            grew = heard[p] & ~before[p]
+            if grew & slot:
+                vertices[p] = frozenset(_bits(heard[p] & slot))
+            if state.vertices != vertices[p]:
+                v = min(state.vertices ^ vertices[p])
+                side = "extra" if v in state.vertices else "missing"
+                return fail("vertices", process=p, round=r, **{side: v})
+
+            slices, want = expected[p], []
+            if cut and slices[cut - 1]:  # pruned this round
+                want.append((cut - 1, slices[cut - 1], 0))
+                slices[cut - 1] = 0
+            grew &= ~slot
+            while grew:
+                s = ((grew & -grew).bit_length() - 1) // n
+                newly = grew >> s * n & slot
+                grew ^= newly << s * n
+                old = m = slices[s]
+                while newly:
+                    v = newly & -newly
+                    m |= cols[s][v.bit_length() - 1]
+                    newly ^= v
+                if m != old:
+                    slices[s] = m
+                    want.append((s, old, m))
+            changed = ap.changed_slices(prev[p], state)
+            if changed != want:
+                # The previous state matched, so a slice that one list
+                # leaves out keeps its old value on that side.
+                olds = {s: m for s, m, _ in changed + want}
+                got, exp = ({**olds, **{s: m for s, _, m in c}}
+                            for c in (changed, want))
+                s = min(s for s in olds if got[s] != exp[s])
+                edge = min(ap._decode(got[s] ^ exp[s]))
+                side = "extra" if got[s] >> ap._pair(*edge) & 1 else "missing"
+                return fail("slice", process=p, round=r, slice=s,
+                            **{side: list(edge)})
+
+            recheck = {s for s, _, m in changed if m and s < r} | {r - 1}
+            for s in sorted(recheck - {0}):
                 comp = ap.detected_component(state, s)
                 if comp and (p not in comp or comp not in roots[s - 1].roots):
-                    return fail(
-                        "detected_not_root",
-                        process=p, round=r, slice=s,
-                        detected=sorted(comp),
-                    )
+                    return fail("detected_not_root", process=p, round=r,
+                                slice=s, detected=sorted(comp))
 
-    # A round-t state holds the slices from t - retained on.
-    retained = 4 * d if trace.pruned else horizon
     for a, b, members in sc.facts.d_bounded_intervals:
         for p in sorted(members):
             for t in range(a + d, min(b, a + retained) + 1):

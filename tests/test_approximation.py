@@ -444,7 +444,7 @@ def test_checker_catches_a_partial_column_gained_later(dropped):
         1, state.vertices, slices, state.pruned_before)
     verdict = check_approx_invariants(trace)
     assert verdict.witness == {
-        "rule": "in_neighborhood", "process": 1, "round": 2, "slice": 1,
+        "rule": "slice", "process": 1, "round": 2, "slice": 1,
         "missing": [dropped, 0],
     }
 

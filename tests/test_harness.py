@@ -8,7 +8,6 @@ from dynconsensus import (
     RoundGraph,
     Scenario,
     approx_prune,
-    approx_restrict,
     batch,
     check_agreement,
     check_approx_invariants,
@@ -18,6 +17,7 @@ from dynconsensus import (
     detected_component,
     gen_rotating_roots,
     gen_stable_window,
+    gen_static_line,
     gen_static_star,
     gen_two_roots,
     in_stable_root,
@@ -28,7 +28,7 @@ from dynconsensus import (
     trace_save,
 )
 from dynconsensus import graphs, harness
-from dynconsensus.approximation import _pair
+from dynconsensus.approximation import ApproxMessage, _pair
 from dynconsensus.harness import REPORT_COLUMNS, CheckerVerdict
 from forgery import forge
 
@@ -183,11 +183,14 @@ class TestCheckers:
         trace.records[5].approx[0] = forge(0, state.vertices | {2, 1}, edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
-        assert verdict.witness["rule"] in ("subset", "in_neighborhood")
+        assert verdict.witness == {
+            "rule": "slice", "process": 0, "round": 6, "slice": 3,
+            "extra": [2, 1],
+        }
 
     def test_approx_label_zero_fails_out_of_range(self):
-        # Rounds are 1-based: a label-0 slice is a verdict, not a crash in
-        # the round-graph lookup.
+        # Rounds are 1-based: a label-0 slice is an extra slice, not a crash
+        # in the round-graph lookup.
         trace = run(gen_stable_window(seed=1, n=3, d_bound=2, r_st=2))
         state = trace.records[5].approx[0]
         forged = dict(state.edges)
@@ -196,11 +199,11 @@ class TestCheckers:
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
-            "rule": "label_out_of_range", "process": 0, "round": 6,
-            "slice": 0,
+            "rule": "slice", "process": 0, "round": 6, "slice": 0,
+            "extra": [2, 0],
         }
 
-    def test_approx_forged_vertex_beyond_n_fails_subset(self):
+    def test_approx_forged_vertex_beyond_n_fails_vertices(self):
         trace = run(three_cycle())
         state = trace.records[5].approx[0]
         forged = dict(state.edges)
@@ -210,8 +213,7 @@ class TestCheckers:
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
-            "rule": "subset", "process": 0, "round": 6, "slice": 4,
-            "edge": [1, 7],
+            "rule": "vertices", "process": 0, "round": 6, "extra": 7,
         }
 
     def test_approx_in_neighborhood_names_smallest_missing_edge(self):
@@ -234,7 +236,7 @@ class TestCheckers:
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
-            "rule": "in_neighborhood", "process": 0, "round": 3, "slice": 3,
+            "rule": "slice", "process": 0, "round": 3, "slice": 3,
             "missing": [1, 0],
         }
 
@@ -255,10 +257,14 @@ class TestCheckers:
                                                  edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
-        assert verdict.witness["rule"] in ("subset", "in_neighborhood")
+        assert verdict.witness == {
+            "rule": "slice", "process": 0, "round": 21, "slice": 20,
+            "extra": [1, 2],
+        }
 
     def test_pruned_over_eager_pruner_fails(self):
-        # Pruning to 2D+1 slices drops slices the 4D+1 window must keep.
+        # Pruning to 2D+1 slices drops slices the 4D+1 window must keep:
+        # D = 3, so round 7 already has cutoff 1 where it must have none.
         sc = gen_static_star(4, 30)
         trace = run(sc, prune=True)
         for t, rec in enumerate(trace.records, start=1):
@@ -267,14 +273,15 @@ class TestCheckers:
                 rec.approx[:] = [approx_prune(st, keep_after)
                                  for st in rec.approx]
         verdict = check_approx_invariants(trace)
-        assert verdict.status == "fail"
-        assert verdict.witness["rule"] == "detection_latency"
+        assert verdict.witness == {
+            "rule": "pruned_before", "process": 0, "round": 7,
+            "pruned_before": 1, "expected": 0,
+        }
 
-    def test_approx_dropped_slice_fails_soundness(self):
-        # Slice 4 missing from one state reads as the detected singleton
-        # {0}, which is no root component; the slice disappeared since the
-        # previous state, so it must be checked even though it did not
-        # change in value.
+    def test_approx_dropped_slice_fails_slice_rule(self):
+        # Slice 4 missing from one state would read as the detected
+        # singleton {0}, which is no root component; the slice rule names
+        # the smallest of its seven missing edges first.
         trace = run(gen_stable_window(seed=1, n=5, d_bound=2, r_st=3))
         state = trace.records[7].approx[0]
         slices = {s: m for s, m in state.slices.items() if s != 4}
@@ -282,13 +289,13 @@ class TestCheckers:
             state.owner, state.vertices, slices, state.pruned_before)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
-            "rule": "detected_not_root", "process": 0, "round": 8,
-            "slice": 4, "detected": [0],
+            "rule": "slice", "process": 0, "round": 8, "slice": 4,
+            "missing": [0, 3],
         }
 
-    def test_approx_lowered_cutoff_fails_soundness(self):
-        # With `pruned_before` lowered to 0 the pruned-away slices read as
-        # empty graphs, not as no data: every completed slice is rechecked.
+    def test_approx_lowered_cutoff_fails_pruned_before(self):
+        # With `pruned_before` lowered to 0 the pruned-away slices would
+        # read as empty graphs, not as no data.
         trace = run(gen_stable_window(seed=1, n=5, d_bound=2, r_st=3),
                     prune=True)
         state = trace.records[-1].approx[0]
@@ -297,8 +304,58 @@ class TestCheckers:
             state.owner, state.vertices, state.slices, 0)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
-            "rule": "detected_not_root", "process": 0, "round": 15,
-            "slice": 1, "detected": [0],
+            "rule": "pruned_before", "process": 0, "round": 15,
+            "pruned_before": 0, "expected": 7,
+        }
+
+    @pytest.mark.parametrize("edges_over, process, round_", [
+        (0, 0, 2),  # slice 1 is checked when round 2 completes it
+        (3, 0, 3),  # and again when it grows to four edges at round 3
+    ])
+    def test_approx_soundness_fault_injection(self, monkeypatch, edges_over,
+                                              process, round_):
+        # A strong-connectivity test that calls every slice of more than
+        # `edges_over` edges strongly connected detects all five processes,
+        # and the root is {2} in round 1.
+        sc = gen_stable_window(seed=1, n=5, d_bound=2, r_st=3)
+        trace = run(sc)
+        real = harness.ap._strong
+        monkeypatch.setattr(
+            harness.ap, "_strong",
+            lambda m: frozenset(range(5)) if m.bit_count() > edges_over
+            else real(m))
+        verdict = check_approx_invariants(trace)
+        assert verdict.witness == {
+            "rule": "detected_not_root", "process": process, "round": round_,
+            "slice": 1, "detected": [0, 1, 2, 3, 4],
+        }
+
+    def test_approx_witness_names_the_lowest_differing_slice(self):
+        # An extra edge 0 -> 2 in slice 5, and slice 3 without its lowest
+        # bit, edge 0 -> 1.
+        trace = run(three_cycle())
+        state = trace.records[5].approx[0]
+        slices = dict(state.slices)
+        slices[5] |= 1 << _pair(0, 2)
+        slices[3] &= slices[3] - 1
+        trace.records[5].approx[0] = forge(0, state.vertices, slices)
+        verdict = check_approx_invariants(trace)
+        assert verdict.witness == {
+            "rule": "slice", "process": 0, "round": 6, "slice": 3,
+            "missing": [0, 1],
+        }
+
+    def test_approx_detection_latency_fault_injection(self, monkeypatch):
+        # Detecting nothing is sound, but the root {1, 2} of the stable
+        # interval starting at round 3 must be detected D rounds later.
+        sc = gen_stable_window(seed=1, n=5, d_bound=2, r_st=3)
+        trace = run(sc)
+        monkeypatch.setattr(harness.ap, "detected_component",
+                            lambda state, s: frozenset())
+        verdict = check_approx_invariants(trace)
+        assert verdict.witness == {
+            "rule": "detection_latency", "process": 1, "round": 5,
+            "slice": 3, "detected": [], "expected": [1, 2],
         }
 
     def test_approx_stable_predicate_fault_injection(self, monkeypatch):
@@ -436,41 +493,78 @@ def test_state_digests_are_computed_at_save(monkeypatch, tmp_path):
     assert len(calls) == sc.n * sc.horizon
 
 
+def _closed_form(sc, pruned):
+    """A function (p, r) -> A_p^r as the graph sequence alone fixes it:
+    (pruned_before, vertices, {s: edge set} of its nonempty slices).  p has
+    heard v's round-s state by round r iff v is p or a causal chain from v
+    at round s + 1 reaches p within r - s steps (`graphs.causal_reach`).
+    Slice s holds the G^s edges into every such v, the vertices are the q
+    whose initial state p has heard, and a pruned run keeps the slices from
+    r - 4D on."""
+    seq = sc.seq
+    dist = [[graphs.causal_reach(seq, s + 1, v) for v in range(sc.n)]
+            for s in range(sc.horizon + 1)]
+
+    def closed(p, r):
+        def heard(v, s):
+            return v == p or dist[s][v][p] <= r - s
+
+        cut = max(0, r - 4 * sc.d_bound) if pruned else 0
+        slices = {s: {(u, v) for u, v in seq.round(s).edges if heard(v, s)}
+                  for s in range(max(1, cut), r + 1)}
+        return (cut, {q for q in range(sc.n) if heard(q, 0)},
+                {s: edges for s, edges in slices.items() if edges})
+
+    return closed
+
+
+def _held_slices(state):
+    """{s: edge set} of a state's nonempty slices, read off its edges."""
+    held = {}
+    for edge, labels in state.edges.items():
+        for s in range(labels.bit_length()):
+            if labels >> s & 1:
+                held.setdefault(s, set()).add(edge)
+    return held
+
+
 def _reference_check_approx_invariants(trace):
-    """The set-based approximation checker: every slice rule on decoded
-    edge sets, soundness on every completed slice of every state.  Kept as
-    the reference for the bitmask checker."""
+    """The set-based approximation checker: every state compared with its
+    closed form on decoded edge sets, round by round, then process by
+    process, and soundness on every completed slice of every state.  Kept
+    as the reference for the checker's bitmask fold."""
     sc = trace.scenario
-    seq, n, d = sc.seq, sc.n, sc.d_bound
+    n, d = sc.n, sc.d_bound
     horizon = len(trace.records)
     roots = sc.facts.roots
+    closed = _closed_form(sc, trace.pruned)
 
     def fail(rule, **witness):
         return CheckerVerdict("approx", "fail", witness={"rule": rule, **witness})
 
-    for p in range(n):
-        prev = {}
-        for r in range(1, horizon + 1):
+    def smallest(got, want):
+        x = min(got ^ want)
+        return "extra" if x in got else "missing", x
+
+    for r in range(1, horizon + 1):
+        for p in range(n):
             state = trace.records[r - 1].approx[p]
-            changed = [t for t, m in state.slices.items() if prev.get(t) != m]
-            prev = state.slices
-            for t in sorted(changed):
-                if not 1 <= t <= r:
-                    rule = "label_from_future" if t > r else "label_out_of_range"
-                    return fail(rule, process=p, round=r, slice=t)
-                g = seq.round(t)
-                _, slice_edges = approx_restrict(state, t)
-                forged = slice_edges - g.edges
-                if forged:
-                    return fail("subset", process=p, round=r, slice=t,
-                                edge=list(min(forged)))
-                receivers = {v for _, v in slice_edges}
-                expected = {(u, w) for w in receivers
-                            for u in g.in_neighbors(w)}
-                missing = expected - slice_edges
-                if missing:
-                    return fail("in_neighborhood", process=p, round=r,
-                                slice=t, missing=list(min(missing)))
+            cut, vertices, slices = closed(p, r)
+            if state.owner != p:
+                return fail("owner", process=p, round=r, owner=state.owner)
+            if state.pruned_before != cut:
+                return fail("pruned_before", process=p, round=r,
+                            pruned_before=state.pruned_before, expected=cut)
+            if state.vertices != vertices:
+                side, v = smallest(state.vertices, vertices)
+                return fail("vertices", process=p, round=r, **{side: v})
+            held = _held_slices(state)
+            for s in sorted(held.keys() | slices.keys()):
+                got, want = held.get(s, set()), slices.get(s, set())
+                if got != want:
+                    side, edge = smallest(got, want)
+                    return fail("slice", process=p, round=r, slice=s,
+                                **{side: list(edge)})
             for s in range(1, r):
                 comp = detected_component(state, s)
                 if comp and (p not in comp or comp not in roots[s - 1].roots):
@@ -530,20 +624,28 @@ FORGERIES = ("add_edge", "drop_in_edge", "drop_slice", "bad_label",
 
 
 @st.composite
-def forged_runs(draw):
-    """A random short run, pruned or not, with one to three forgeries, each
-    applied to one to three consecutive states of one process."""
+def short_scenarios(draw):
+    """A random short scenario: 2 to 5 processes, D of 1 or 2, 1 to 12
+    rounds that often repeat the previous graph, so that stable root
+    intervals occur."""
     n = draw(st.integers(2, 5))
     d = draw(st.integers(1, min(2, n - 1)))
     horizon = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    # Repeat the previous graph often, so stable root intervals occur.
     graphs_ = [RoundGraph(n, draw(st.sets(st.sampled_from(pairs))))]
     for _ in range(horizon - 1):
         graphs_.append(graphs_[-1] if draw(st.booleans()) else
                        RoundGraph(n, draw(st.sets(st.sampled_from(pairs)))))
-    sc = Scenario(d_bound=d, inputs=tuple(range(n)),
-                  seq=GraphSequence(n, graphs_), meta={})
+    return Scenario(d_bound=d, inputs=tuple(range(n)),
+                    seq=GraphSequence(n, graphs_), meta={})
+
+
+@st.composite
+def forged_runs(draw):
+    """A random short run, pruned or not, with one to three forgeries, each
+    applied to one to three consecutive states of one process."""
+    sc = draw(short_scenarios())
+    n, horizon = sc.n, sc.horizon
     trace = run(sc, prune=draw(st.booleans()))
     rng = draw(st.randoms(use_true_random=False))
     for _ in range(draw(st.integers(1, 3))):
@@ -563,3 +665,63 @@ def forged_runs(draw):
 def test_approx_checker_matches_set_reference(trace):
     assert check_approx_invariants(trace) == (
         _reference_check_approx_invariants(trace))
+
+
+@given(short_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_every_state_equals_its_closed_form(sc):
+    for prune in (False, True):
+        trace = run(sc, prune=prune)
+        closed = _closed_form(sc, prune)
+        for r, rec in enumerate(trace.records, start=1):
+            for p, state in enumerate(rec.approx):
+                cut, vertices, slices = closed(p, r)
+                assert (state.owner, state.pruned_before) == (p, cut)
+                assert state.vertices == vertices
+                assert _held_slices(state) == slices
+        assert check_approx_invariants(trace).status == "pass"
+
+
+_real_absorb = harness.ap.approx_absorb
+
+
+def _forgetful_absorb(state, r, received):
+    """`approx_absorb` that drops every received slice whose label is a
+    multiple of 7."""
+    kept = [ApproxMessage(m.sender, forge(
+        m.graph.owner, m.graph.vertices,
+        {s: x for s, x in m.graph.slices.items() if s % 7},
+        m.graph.pruned_before)) for m in received]
+    return _real_absorb(state, r, kept)
+
+
+def test_forgetful_absorb_fails_the_slice_rule(monkeypatch):
+    # On the static line 0 -> 1 -> 2 -> 3, process 2 learns at round 8
+    # the round-7 in-edge 0 -> 1 from process 1's snapshot.  Every other
+    # checker passes, and the held slices stay unions of whole
+    # in-neighbourhoods, so only exactness catches the loss.
+    sc = gen_static_line(4, 20)
+    monkeypatch.setattr(harness.ap, "approx_absorb", _forgetful_absorb)
+    trace = run(sc)
+    monkeypatch.undo()
+    verdicts = {v.name: v for v in run_checkers(trace)}
+    assert [v.name for v in verdicts.values() if not v.ok] == ["approx"]
+    assert verdicts["approx"].witness == {
+        "rule": "slice", "process": 2, "round": 8, "slice": 7,
+        "missing": [0, 1],
+    }
+
+
+def test_run_that_does_not_prune_fails_the_cutoff_rule(monkeypatch):
+    # D = 3, so the 4D+1-slice window first drops a slice at round 13.
+    sc = gen_static_star(4, 30)
+    monkeypatch.setattr(harness.ap, "approx_prune",
+                        lambda state, keep_after: state)
+    trace = run(sc, prune=True)
+    monkeypatch.undo()
+    verdicts = {v.name: v for v in run_checkers(trace)}
+    assert [v.name for v in verdicts.values() if not v.ok] == ["approx"]
+    assert verdicts["approx"].witness == {
+        "rule": "pruned_before", "process": 0, "round": 13,
+        "pruned_before": 0, "expected": 1,
+    }
