@@ -131,9 +131,13 @@ def scenario_from_dict(data):
             graph = RoundGraph(n, edges)
         except ValueError as exc:
             raise ScenarioParseError(f"rounds[{i}]: {exc}") from exc
-        if len(graph.edges) != len(edges):
-            u, v = next(e for k, e in enumerate(edges) if e in edges[:k])
-            raise ScenarioParseError(f"rounds[{i}]: duplicate edge {u}->{v}")
+        if len(graph.edges) != len(edges):  # name the first repeat
+            seen = set()
+            for u, v in edges:
+                if (u, v) in seen:
+                    raise ScenarioParseError(
+                        f"rounds[{i}]: duplicate edge {u}->{v}")
+                seen.add((u, v))
         graphs.append(graph)
     try:
         return Scenario(

@@ -2,15 +2,14 @@
 
 A_p is one packed int.  A slice, the edges that carry one round label,
 is a `width`-bit slot: bit `_pair(u, v)` of slot k is set iff edge u -> v
-carries label `pruned_before` + k.  `_pair` is Szudzik's pairing, so a slot
-needs no bound on the vertex ids beyond its own width; shell j, bits
-j*j .. j*j + 2j, holds the edges whose larger endpoint is j, and the width
-is (1 + k)**2 for the largest id k among the owner, the vertices and the
-edges' endpoints.  The width is a function of the state's value, so equal
-states are equal ints.  Merging is one OR per received snapshot (a
-narrower one is first restrided to the receiver's width), pruning is one
-right shift, and reading a slice is one shift and one mask.  States are
-immutable values, so they are snapshotted into messages by reference.
+carries label `pruned_before` + k.  `_pair` is Szudzik's pairing: shell j,
+bits j*j .. j*j + 2j, holds the edges whose larger endpoint is j, so the
+pairs of ids below n fill exactly bits [0, n*n).  Every state of a run on n
+processes has width n*n, fixed by `approx_init`, so merging is one OR per
+received snapshot (its slots moved to the receiver's cutoff), pruning is
+one right shift, and reading a slice is one shift and one mask.  A snapshot
+of another width, or naming a vertex outside [0, n), is refused.  States
+are immutable values, so they are snapshotted into messages by reference.
 
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
@@ -64,12 +63,6 @@ def _decode(bits):
     return [_unpair(b) for b in _set_bits(bits)]
 
 
-def _width(ids):
-    """The slot width that holds every edge among `ids`: (1 + largest)**2,
-    a negative id counting as 0."""
-    return (1 + max(0, max(ids, default=0))) ** 2
-
-
 def _slots(packed, width):
     """The slot ints of `packed`, lowest first, through the highest nonzero
     one."""
@@ -78,37 +71,6 @@ def _slots(packed, width):
         slots.append(packed & mask)
         packed >>= width
     return slots
-
-
-def _restride(packed, old, new):
-    """`packed` with its slots moved from `old` to `new` bits apart.  Only
-    pruning a malformed state narrows them, slot by slot, and each slot
-    must fit its new width.  Widening moves slot k up by k * (new - old)
-    in one masked shift per bit of k, the highest bit first (`_spread`)."""
-    if new <= old:
-        return (packed if new == old else
-                sum(m << k * new for k, m in enumerate(_slots(packed, old))))
-    top = (packed.bit_length() - 1) // old  # the highest slot, -1 if none
-    for mask, shift in _spread(old, new, top.bit_length()):
-        moved = packed & mask
-        packed = packed ^ moved | moved << shift
-    return packed
-
-
-@lru_cache(maxsize=256)
-def _spread(old, new, bits):
-    """The (mask, shift) steps that widen slots k < 2**bits from `old` to
-    `new` bits apart.  Step j moves the slots whose index has bit j set by
-    2**j * (new - old); before it, slot k sits at k * old plus its index's
-    bits above j times (new - old), so the slots stay in order and apart."""
-    d, ones, steps = new - old, (1 << old) - 1, []
-    for j in reversed(range(bits)):
-        mask = 0
-        for k in range(1 << j, 1 << bits):
-            if k >> j & 1:
-                mask |= ones << k * old + (k >> j + 1 << j + 1) * d
-        steps.append((mask, d << j))
-    return steps
 
 
 # Cache sizes come from the working sets of the benchmark corpora (n <= 20,
@@ -143,18 +105,14 @@ def _edge(b):
 def changed_slices(prev, state):
     """[(s, old, new)] for every slice s whose edge bits differ from state
     `prev` to `state`, ascending in s; `prev` None is the state without
-    slices.  A slice below `state`'s pruning cutoff that `prev` still holds
-    reads as new = 0.  The two ints are aligned to the wider width and the
-    lower cutoff, and the changed slots are read off their XOR from the
-    top, one bit length each."""
+    slices.  Both states have the same width.  A slice below `state`'s
+    pruning cutoff that `prev` still holds reads as new = 0.  The two ints
+    are aligned to the lower cutoff, and the changed slots are read off
+    their XOR from the top, one bit length each."""
     width, base = state.width, state.pruned_before
     a, b = 0, state.packed
     if prev is not None:
         a = prev.packed
-        if prev.width != width:
-            width = max(width, prev.width)
-            a = _restride(a, prev.width, width)
-            b = _restride(b, state.width, width)
         lift = state.pruned_before - prev.pruned_before
         if lift > 0:
             b <<= lift * width
@@ -232,24 +190,23 @@ class ApproxState:
     """Process p's approximation digraph: owner, vertices, and `packed`,
     whose slot k, `width` bits from bit k * width, holds the edge bits of
     slice `pruned_before` + k.  Slices before `pruned_before` were dropped
-    by pruning, and no state holds a label below it.  `width` is
-    (1 + k)**2 for the largest id k among the owner, the vertices and the
-    edges' endpoints (0 if none is positive); the transitions keep it so,
-    and any other way of building a state must too.  `slices`
-    ({round: edge bits}, nonzero slots only), `edges`
-    ({(u, v): label mask}) and `sorted_edges` are derived views.
+    by pruning, and no state holds a label below it.  `width` is n*n for a
+    run on n processes, the same for every state of the run, and the owner
+    and vertices are ids in [0, n).  `slices` ({round: edge bits}, nonzero
+    slots only), `edges` ({(u, v): label mask}) and `sorted_edges` are
+    derived views.
 
     `_ok`, derived and not part of the value, says the state is known to be
-    well formed: the owner a vertex, no negative id, no label below 1, no
-    self-loop or unknown endpoint.  The transitions set it; a state built
-    any other way gets it from its first full check in
+    well formed: the owner a vertex, every vertex in [0, n), no label below
+    1, no self-loop or unknown endpoint.  The transitions set it; a state
+    built any other way gets it from its first full check in
     `_validate_snapshot`.  States must not be mutated."""
 
     owner: int
     vertices: frozenset
-    packed: int = 0
-    pruned_before: int = 0
-    width: int = 1
+    packed: int
+    pruned_before: int
+    width: int
     _ok: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
@@ -291,10 +248,14 @@ class ApproxMessage:
     graph: ApproxState
 
 
-def approx_init(p):
-    """Fresh state: the singleton graph ({p}, no edges)."""
-    state = ApproxState(owner=p, vertices=(p,), width=_width((p,)))
-    state._ok = p >= 0  # a negative id is never well formed
+def approx_init(p, n):
+    """Fresh state of process p in a run on n processes: the singleton
+    graph ({p}, no edges), with n*n-bit slots.  Raises ValueError unless p
+    is in [0, n)."""
+    if not 0 <= p < n:
+        raise ValueError(f"process id {p} outside [0, {n - 1}]")
+    state = ApproxState(p, (p,), 0, 0, n * n)
+    state._ok = True
     return state
 
 
@@ -303,17 +264,23 @@ def approx_emit(state):
     return ApproxMessage(sender=state.owner, graph=state)
 
 
-def _validate_snapshot(msg, r):
+def _validate_snapshot(msg, r, width):
     """Raise `MalformedMessageError` unless `msg` is a well-formed round-r
-    snapshot, checking, in this order: the owner, the labels of the
-    nonempty slices within [1, r - 1], and every edge between two distinct
-    vertices of the snapshot.  The lowest and highest label come from the
-    lowest and highest set bit, and the edges from one AND per slot with
-    the cached allowed-edge mask.  A state known to be well formed needs
-    only the sender and its highest label; any other message is checked in
-    full, and a state that passes is known well formed."""
+    snapshot for a receiver with `width`-bit slots, checking, in this
+    order: the width, the owner, the labels of the nonempty slices within
+    [1, r - 1], every vertex within [0, n) for width n*n, and every edge
+    between two distinct vertices of the snapshot.  The vertex range keeps
+    every edge, the receiver's direct in-edge from the sender included,
+    inside its slot.  The lowest and highest label come from the lowest and
+    highest set bit, and the edges from one AND per slot with the cached
+    allowed-edge mask.  A state known to be well formed needs only the
+    width, the sender and its highest label; any other message is checked
+    in full, and a state that passes is known well formed."""
     g = msg.graph
-    packed, width, base = g.packed, g.width, g.pruned_before
+    if g.width != width:
+        raise MalformedMessageError(
+            f"snapshot from {msg.sender} has {g.width}-bit slots, not {width}")
+    packed, base = g.packed, g.pruned_before
     top = base + (packed.bit_length() - 1) // width  # base - 1 if none
     if g._ok and top < r and msg.sender == g.owner:
         return
@@ -324,7 +291,12 @@ def _validate_snapshot(msg, r):
                    or top >= r):
         raise MalformedMessageError(
             f"snapshot from {msg.sender} carries labels outside [1, {r - 1}]")
-    forbidden = ~_allowed_mask(g.vertices)  # raises on a negative vertex id
+    n = isqrt(width)
+    outside = [v for v in g.vertices if not 0 <= v < n]
+    if outside:
+        raise MalformedMessageError(
+            f"vertex {min(outside)} outside [0, {n - 1}] from {msg.sender}")
+    forbidden = ~_allowed_mask(g.vertices)
     for m in _slots(packed, width):
         bad = m & forbidden
         if bad:  # the witness is the lowest bad edge of the lowest bad slice
@@ -336,18 +308,19 @@ def _validate_snapshot(msg, r):
 
 def approx_absorb(state, r, received):
     """Round-r update: record direct in-edges with label r, then take the
-    label-set union with every received snapshot: one OR each, the narrower
-    of the two ints restrided first and the snapshot's slots moved to the
-    receiver's cutoff.  Monotone above that cutoff: labels below it,
-    whether a sender's or r itself, are not taken.  A well-formed state
-    stays so, unless a sender is the owner (a self-loop)."""
+    label-set union with every received snapshot: one OR each, the
+    snapshot's slots moved to the receiver's cutoff.  Every snapshot must
+    have the receiver's width (`_validate_snapshot`).  Monotone above that
+    cutoff: labels below it, whether a sender's or r itself, are not
+    taken.  A well-formed state stays so, unless a sender is the owner (a
+    self-loop)."""
     if not received:
         return state
     owner, base, vertices = state.owner, state.pruned_before, state.vertices
     packed, width = state.packed, state.width
     ok, direct = state._ok and r >= 1, 0
     for msg in received:
-        _validate_snapshot(msg, r)
+        _validate_snapshot(msg, r, width)
         g = msg.graph
         if msg.sender == owner:
             ok = False
@@ -355,10 +328,6 @@ def approx_absorb(state, r, received):
         if not g.vertices <= vertices:
             vertices = vertices | g.vertices
         m = g.packed
-        if g.width > width:
-            packed, width = _restride(packed, width, g.width), g.width
-        elif g.width < width:
-            m = _restride(m, g.width, width)
         shift = (g.pruned_before - base) * width
         if shift:  # a shift by 0 would still copy the int
             m = m << shift if shift > 0 else m >> -shift
@@ -489,13 +458,10 @@ def in_stable_root(state, interval, current_round):
 
 def approx_prune(state, keep_after):
     """Drop all labels < keep_after and edges whose label set empties: one
-    right shift of the packed int.
+    right shift of the packed int, which keeps its width.
 
-    Vertices are retained, so a well-formed state keeps its width; a state
-    not known to be well formed may lose the edge with the largest unknown
-    endpoint, so its width is recomputed.  Slices below the cutoff
-    subsequently report no data rather than a spuriously empty-looking
-    graph.
+    Vertices are retained.  Slices below the cutoff subsequently report no
+    data rather than a spuriously empty-looking graph.
     """
     if keep_after < 0:
         raise ValueError("keep_after must be >= 0")
@@ -503,10 +469,6 @@ def approx_prune(state, keep_after):
     if keep_after <= base:
         return state
     packed = state.packed >> (keep_after - base) * width
-    if not state._ok:
-        ends = (isqrt(m.bit_length() - 1) for m in _slots(packed, width) if m)
-        new = _width([state.owner, *state.vertices, *ends])
-        packed, width = _restride(packed, width, new), new
     pruned = ApproxState(state.owner, state.vertices, packed, keep_after, width)
     pruned._ok = state._ok
     return pruned

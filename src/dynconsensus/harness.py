@@ -101,7 +101,7 @@ def run(scenario, prune=False):
     """
     n = scenario.n
     d = scenario.d_bound
-    approx = [ap.approx_init(p) for p in range(n)]
+    approx = [ap.approx_init(p, n) for p in range(n)]
     cons = [cs.cons_init(scenario.inputs[p]) for p in range(n)]
     snapshots = [ap.approx_emit(st) for st in approx]
     messages = [cs.cons_emit(st) for st in cons]
@@ -285,12 +285,13 @@ def check_approx_invariants(trace):
     the receiver columns of the newly heard v, their in-edge bits
     `_pair(u, v)`, into that process's expected slice.
 
-    Round by round, then process by process, a state must have owner p and
-    the expected `pruned_before` and `vertices`, and `ap.changed_slices`
-    from the previous state must list exactly the expected changes: the
-    previous state matched, so then the whole state does.  A witness names
-    the first differing slice and its smallest extra or missing edge, or
-    the smallest extra or missing vertex.
+    Round by round, then process by process, a state must have owner p,
+    the expected `pruned_before` and `vertices`, and the run's slot width
+    n*n, and `ap.changed_slices` from the previous state must list exactly
+    the expected changes: the previous state matched, so then the whole
+    state does.  A witness names the first differing slice and its
+    smallest extra or missing edge, the smallest extra or missing vertex,
+    or the state's width and the expected one.
 
     Exactness does not cover `detected_component` and `in_stable_root`, so
     soundness (a nonempty detected component of a completed slice is a root
@@ -342,6 +343,9 @@ def check_approx_invariants(trace):
                 v = min(state.vertices ^ vertices[p])
                 side = "extra" if v in state.vertices else "missing"
                 return fail("vertices", process=p, round=r, **{side: v})
+            if state.width != n * n:
+                return fail("width", process=p, round=r, width=state.width,
+                            expected=n * n)
 
             slices, want = expected[p], []
             if cut and slices[cut - 1]:  # pruned this round

@@ -1,6 +1,7 @@
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,17 +33,28 @@ from dynconsensus.approximation import (
 from dynconsensus.harness import approx_digest
 from forgery import forge
 
+# Unless a test builds its own run, its states are those of a run on N
+# processes, and every id they name is below N.
+N = 12
+
 
 def test_init_is_singleton():
-    state = approx_init(3)
+    state = approx_init(3, N)
     assert state.owner == 3
     assert state.vertices == {3}
     assert state.edges == {}
-    assert approx_init(3) == approx_init(3)
+    assert approx_init(3, N) == approx_init(3, N)
+    assert state.width == N * N
+
+
+def test_init_refuses_an_id_outside_the_run():
+    for p in (-1, N):
+        with pytest.raises(ValueError, match=rf"id {p} outside \[0, 11\]"):
+            approx_init(p, N)
 
 
 def test_emit_is_a_pure_snapshot():
-    state = approx_init(0)
+    state = approx_init(0, N)
     m1 = approx_emit(state)
     m2 = approx_emit(state)
     assert m1.sender == 0 and m1.graph == state
@@ -50,30 +62,30 @@ def test_emit_is_a_pure_snapshot():
 
 
 def test_absorb_adds_direct_edge_with_round_label():
-    p = approx_init(0)
-    q = approx_init(1)
+    p = approx_init(0, N)
+    q = approx_init(1, N)
     p = approx_absorb(p, 1, [approx_emit(q)])
     assert p.vertices == {0, 1}
     assert p.edges[(1, 0)] == 1 << 1
 
 
 def test_absorb_empty_inbox_is_identity():
-    state = approx_init(2)
+    state = approx_init(2, N)
     assert approx_absorb(state, 4, []) == state
 
 
 def test_merge_takes_label_union():
     # p already knows (2 -> 3) from round 1; q's snapshot says round 2 too.
-    p = forge(0, {0, 2, 3}, edges={(2, 3): 1 << 1})
-    q = forge(1, {1, 2, 3}, edges={(2, 3): 1 << 2})
+    p = forge(N, 0, {0, 2, 3}, edges={(2, 3): 1 << 1})
+    q = forge(N, 1, {1, 2, 3}, edges={(2, 3): 1 << 2})
     merged = approx_absorb(p, 3, [approx_emit(q)])
     assert merged.edges[(2, 3)] == 1 << 1 | 1 << 2
     assert merged.edges[(1, 0)] == 1 << 3
 
 
 def test_absorb_is_monotone():
-    p = approx_init(0)
-    q = approx_init(1)
+    p = approx_init(0, N)
+    q = approx_init(1, N)
     p = approx_absorb(p, 1, [approx_emit(q)])
     p2 = approx_absorb(p, 2, [approx_emit(q)])
     for edge, mask in p.edges.items():
@@ -83,11 +95,14 @@ def test_absorb_is_monotone():
 
 def test_malformed_snapshots_rejected():
     def snapshot(vertices, edges):
-        return approx_emit(forge(1, vertices, edges=edges))
+        return approx_emit(forge(N, 1, vertices, edges=edges))
 
     # One case per validation rule, each breaking that rule alone.
     cases = [
-        (ApproxMessage(sender=2, graph=approx_init(1)), "owner mismatch"),
+        (approx_emit(approx_init(1, N + 1)), "169-bit slots, not 144"),
+        (ApproxMessage(sender=2, graph=approx_init(1, N)), "owner mismatch"),
+        (approx_emit(replace(approx_init(1, N), vertices={1, N})),
+         r"vertex 12 outside \[0, 11\]"),
         (snapshot({1}, {(1, 1): 1 << 1}), "self-loop"),
         (snapshot({1, 2}, {(2, 3): 1 << 1}), "unknown endpoint"),
         (snapshot({0, 1}, {(0, 1): 1 << 5}), "outside"),  # future label
@@ -95,30 +110,31 @@ def test_malformed_snapshots_rejected():
     ]
     for msg, rule in cases:
         with pytest.raises(MalformedMessageError, match=rule):
-            approx_absorb(approx_init(0), 2, [msg])
+            approx_absorb(approx_init(0, N), 2, [msg])
 
 
 def test_cached_snapshot_facts_do_not_fix_the_round():
     # The same message objects are absorbed at rounds 2 and 6, in both
     # orders: label 5 is outside [1, 1] but inside [1, 5].
-    state = forge(1, {0, 1}, edges={(0, 1): 1 << 5})
+    state = forge(N, 1, {0, 1}, edges={(0, 1): 1 << 5})
     early, late = approx_emit(state), approx_emit(state)
     for msg, rounds in ((early, (2, 6)), (late, (6, 2))):
         for r in rounds:
             if r == 2:
                 with pytest.raises(MalformedMessageError,
                                    match=r"labels outside \[1, 1\]"):
-                    approx_absorb(approx_init(0), r, [msg])
+                    approx_absorb(approx_init(0, N), r, [msg])
             else:
-                merged = approx_absorb(approx_init(0), r, [msg])
+                merged = approx_absorb(approx_init(0, N), r, [msg])
                 assert merged.edges == {(0, 1): 1 << 5, (1, 0): 1 << 6}
 
 
 # The dict-of-slices A_p that the packed int replaced, kept as the reference
 # model: its snapshot validation, absorb and prune as they were, on states
-# whose `slices` map a round to its edge bits.  Three rules of the packed
-# layout differ from it on purpose, and `_canonical` applies them to every
-# reference state:
+# whose `slices` map a round to its edge bits, plus the packed layout's
+# refusals of a snapshot of another width or naming a vertex outside the
+# run.  Three rules of the packed layout differ from it on purpose, and
+# `_canonical` applies them to every reference state:
 # - an empty slice carries no label (a zero-valued key used to count in
 #   the label range check);
 # - no state holds a label below its pruning cutoff (absorb used to keep a
@@ -131,25 +147,35 @@ class RefState:
     owner: int
     vertices: frozenset
     slices: dict
-    pruned_before: int = 0
+    pruned_before: int
+    width: int
 
 
 def _canonical(state):
     slices = {s: m for s, m in sorted(state.slices.items())
               if m and s >= state.pruned_before}
     return RefState(state.owner, frozenset(state.vertices), slices,
-                    state.pruned_before)
+                    state.pruned_before, state.width)
 
 
-def _reference_validate(sender, g, r):
+def _reference_validate(sender, g, r, width):
     """Snapshot validation as one pass per receiver, every fact recomputed:
-    the owner, then the label range, then each slice against the edges
-    allowed between distinct vertices of the snapshot."""
+    the width, the owner, the label range, the vertex range, then each
+    slice against the edges allowed between distinct vertices of the
+    snapshot."""
+    if g.width != width:
+        raise MalformedMessageError(
+            f"snapshot from {sender} has {g.width}-bit slots, not {width}")
     if sender != g.owner or g.owner not in g.vertices:
         raise MalformedMessageError(f"snapshot owner mismatch from {sender}")
     if min(g.slices, default=1) < 1 or max(g.slices, default=0) >= r:
         raise MalformedMessageError(
             f"snapshot from {sender} carries labels outside [1, {r - 1}]")
+    n = isqrt(width)
+    outside = g.vertices - set(range(n))
+    if outside:
+        raise MalformedMessageError(
+            f"vertex {min(outside)} outside [0, {n - 1}] from {sender}")
     allowed = _allowed_mask(g.vertices)
     for m in g.slices.values():
         bad = m & ~allowed
@@ -165,21 +191,22 @@ def _reference_absorb(state, r, received):
         return state
     slices, vertices, direct = dict(state.slices), state.vertices, 0
     for sender, g in received:
-        _reference_validate(sender, g, r)
+        _reference_validate(sender, g, r, state.width)
         direct |= 1 << _pair(sender, state.owner)
         vertices = vertices | g.vertices
         for s, m in g.slices.items():
             slices[s] = slices.get(s, 0) | m
     slices[r] = slices.get(r, 0) | direct
     return _canonical(RefState(state.owner, vertices, slices,
-                               state.pruned_before))
+                               state.pruned_before, state.width))
 
 
 def _reference_prune(state, keep_after):
     if keep_after <= state.pruned_before:
         return state
     slices = {s: m for s, m in state.slices.items() if s >= keep_after}
-    return RefState(state.owner, state.vertices, slices, keep_after)
+    return RefState(state.owner, state.vertices, slices, keep_after,
+                    state.width)
 
 
 def _reference_detected(state, s):
@@ -205,16 +232,21 @@ def _edges_of(slices):
     return dict(sorted(edges.items()))
 
 
-def _both(sender, owner, vertices, slices, pruned_before=0):
-    """One forged snapshot as a (packed message, reference message) pair."""
-    state = forge(owner, vertices, slices, pruned_before)
-    ref = _canonical(RefState(owner, vertices, slices, pruned_before))
+def _both(sender, owner, vertices, slices, pruned_before=0, *, n=N,
+          stray=None):
+    """One forged snapshot of a run on n processes as a (packed message,
+    reference message) pair; `stray`, if given, is an extra vertex, which
+    may lie outside [0, n) since no edge names it."""
+    state = forge(n, owner, vertices, slices, pruned_before)
+    if stray is not None:
+        vertices = {*vertices, stray}
+        state = replace(state, vertices=vertices)
+    ref = _canonical(RefState(owner, vertices, slices, pruned_before, n * n))
     return ApproxMessage(sender, state), (sender, ref)
 
 
 def _error(fn, *args):
-    """(type name, text) of what `fn(*args)` raises, or None; a negative
-    vertex id makes `_allowed_mask` raise a plain ValueError."""
+    """(type name, text) of what `fn(*args)` raises, or None."""
     try:
         fn(*args)
     except ValueError as exc:  # MalformedMessageError included
@@ -223,21 +255,20 @@ def _error(fn, *args):
 
 
 def _absorb_error(pairs, r):
-    return _error(approx_absorb, approx_init(0), r, [m for m, _ in pairs])
+    return _error(approx_absorb, approx_init(0, N), r, [m for m, _ in pairs])
 
 
 def _reference_error(pairs, r):
-    return _error(_reference_absorb, RefState(0, frozenset({0}), {}), r,
-                  [ref for _, ref in pairs])
+    return _error(_reference_absorb, RefState(0, frozenset({0}), {}, 0, N * N),
+                  r, [ref for _, ref in pairs])
 
 
 def _assert_matches_reference(state, ref):
     """The packed state holds exactly the reference state: fields, slices,
     edges and every detected component, one slice past the highest label
-    included, and it is the reference's slices packed afresh, so its width
-    is the one its value determines."""
-    assert state == forge(ref.owner, ref.vertices, ref.slices,
-                          ref.pruned_before)
+    included.  Equal slices, cutoff and width make equal packed ints."""
+    assert (state.owner, state.vertices, state.pruned_before, state.width) == (
+        ref.owner, ref.vertices, ref.pruned_before, ref.width)
     assert list(state.slices.items()) == list(ref.slices.items())
     assert state.edges == _edges_of(ref.slices)
     for s in range(1, max(ref.slices, default=0) + 2):
@@ -245,14 +276,19 @@ def _assert_matches_reference(state, ref):
 
 
 def test_first_fault_in_precedence_order_is_reported():
-    # Each snapshot breaks every rule from its own onwards: owner, label
-    # range, self-loop, unknown endpoint.
+    # Each snapshot breaks every rule from its own onwards: width, owner,
+    # label range, vertex range, self-loop, unknown endpoint.
     loop_and_stranger = {3: 1 << _pair(1, 1) | 1 << _pair(1, 4)}
+    everything = {0: 1, **loop_and_stranger}
     cases = [
-        (_both(2, 1, {1}, {0: 1, **loop_and_stranger}),
+        (_both(2, 1, {1}, everything, n=N + 1, stray=-1),
+         "snapshot from 2 has 169-bit slots, not 144"),
+        (_both(2, 1, {1}, everything, stray=-1),
          "snapshot owner mismatch from 2"),
-        (_both(1, 1, {1}, {0: 1, **loop_and_stranger}),
+        (_both(1, 1, {1}, everything, stray=-1),
          "snapshot from 1 carries labels outside [1, 3]"),
+        (_both(1, 1, {1}, loop_and_stranger, stray=-1),
+         "vertex -1 outside [0, 11] from 1"),
         (_both(1, 1, {1}, loop_and_stranger), "self-loop 1->1 from 1"),
         # The lowest bad slice holds the witness, whatever the dict order.
         (_both(1, 1, {1}, {2: 1 << _pair(1, 1), 1: 1 << _pair(0, 1)}),
@@ -270,10 +306,10 @@ def test_first_fault_in_precedence_order_is_reported():
 @st.composite
 def forged_snapshots(draw):
     """A list of one to three (packed, reference) message pairs built from
-    the same drawn slices.  Owners and edge endpoints reach id 9, so
-    absorbing one often widens the receiver's slots; senders may not be
-    owners; vertex ids include -1 now and then, which makes the
-    allowed-edge mask raise; the pruning cutoff is 0, 1 or 2 and labels run
+    the same drawn slices, in a run on N processes.  Owners and edge
+    endpoints reach id 9; senders may not be owners; now and then a
+    snapshot has the slots of a run on N + 1 processes, or names vertex -1
+    or N, outside the run; the pruning cutoff is 0, 1 or 2 and labels run
     from it to 6, so label 0 and labels from the future occur; slices may
     be empty; most edges join two distinct vertices, and the rest are any
     pair of ids up to 11, self-loops and unknown endpoints included."""
@@ -284,8 +320,7 @@ def forged_snapshots(draw):
         vertices = set(ids)
         if draw(st.integers(0, 3)):
             vertices.add(owner)
-        if not draw(st.integers(0, 7)):
-            vertices.add(-1)
+        layout = draw(st.sampled_from(["run"] * 6 + ["wide", "stray"]))
         base = draw(st.sampled_from([0, 0, 1, 2]))
         known = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
             lambda e: e[0] != e[1])
@@ -296,7 +331,10 @@ def forged_snapshots(draw):
             edges.map(lambda es: sum(1 << _pair(u, v) for u, v in es)),
             max_size=4,
         ))
-        return _both(sender, owner, vertices, slices, base)
+        return _both(sender, owner, vertices, slices, base,
+                     n=N + 1 if layout == "wide" else N,
+                     stray=draw(st.sampled_from([-1, N]))
+                     if layout == "stray" else None)
 
     return [message() for _ in range(draw(st.integers(1, 3)))]
 
@@ -314,9 +352,9 @@ def _assert_carried_facts_hold(state):
     """A state known to be well formed validates afresh as a snapshot one
     round after its highest label."""
     if state._ok:
-        ref = _canonical(RefState(state.owner, state.vertices, state.slices,
-                                  state.pruned_before))
-        _reference_validate(state.owner, ref, max(ref.slices, default=0) + 1)
+        ref = _canonical(state)
+        _reference_validate(state.owner, ref, max(ref.slices, default=0) + 1,
+                            state.width)
 
 
 @st.composite
@@ -371,29 +409,29 @@ def _swap(owner, vertices, slices):
 # Pruning every label of a state leaves no highest label.
 @example([("absorb", 0, 6, [1], []), ("prune", 0, 7),
           ("absorb", 1, 3, [0], [])])
-# A wide state (vertex 9) with three slices reaches process 1, whose
-# narrow slots are restrided, and is sent back; the top slot must survive.
-@example([("absorb", 0, 1, [1], []), ("absorb", 0, 2, [1], []),
-          _swap(0, {0, 9}, {1: 1 << _pair(9, 0), 2: 1 << _pair(0, 9),
-                            3: 1 << _pair(9, 0)}),
-          ("absorb", 1, 4, [0], []), ("absorb", 0, 5, [1], [])])
 # States with different cutoffs merge: the receiver drops what the sender
 # holds below its own cutoff, and a sender's higher cutoff moves its slots.
 @example([("absorb", 0, 1, [1], []), ("absorb", 0, 2, [1], []),
           ("absorb", 1, 3, [0], []), ("prune", 0, 2),
           ("absorb", 2, 4, [0], []), ("absorb", 1, 5, [2], [])])
-# Pruning drops the only edge with endpoint 9, unknown to a forged state, so
-# its slots narrow from 100 bits to 4.
-@example([_swap(0, {0, 1}, {1: 1 << _pair(1, 9), 2: 1 << _pair(1, 0)}),
-          ("prune", 0, 2), ("absorb", 1, 3, [0], [])])
+# A snapshot with the slots of a run on N + 1 processes is refused, and so
+# is every snapshot sent to a swapped-in state with those slots.
+@example([("absorb", 0, 1, [1], [_both(2, 2, {2}, {}, n=N + 1)])])
+@example([("swap", 0, _both(0, 0, {0}, {}, n=N + 1)),
+          ("absorb", 0, 1, [1], [])])
+# A snapshot naming vertex N is refused; a swapped-in state naming vertex
+# -1 absorbs, and its snapshot is refused.
+@example([("absorb", 0, 1, [1], [_both(2, 2, {2}, {}, stray=N)])])
+@example([("swap", 0, _both(0, 0, {0}, {}, stray=-1)),
+          ("absorb", 0, 1, [1], []), ("absorb", 1, 2, [0], [])])
 def test_carried_facts_match_reference_validation_along_a_chain(steps):
     # A chain of transitions runs on packed states and, side by side, on
     # the dict-of-slices reference model.  After every step the packed
     # state holds what the reference holds, each absorb fails exactly as
     # validating every message afresh does, and a state known to be well
     # formed validates afresh.
-    states = [approx_init(p) for p in range(3)]
-    refs = [RefState(p, frozenset({p}), {}) for p in range(3)]
+    states = [approx_init(p, N) for p in range(3)]
+    refs = [RefState(p, frozenset({p}), {}, 0, N * N) for p in range(3)]
     for op, i, *args in steps:
         if op == "swap":
             (msg, (_, ref)), = args
@@ -405,7 +443,8 @@ def test_carried_facts_match_reference_validation_along_a_chain(steps):
             r, senders, forged = args
             pairs = [(approx_emit(states[j]), (refs[j].owner, refs[j]))
                      for j in senders] + forged
-            expected = _reference_error(pairs, r)
+            expected = _error(_reference_absorb, refs[i], r,
+                              [ref for _, ref in pairs])
             try:
                 merged = approx_absorb(states[i], r, [m for m, _ in pairs])
             except ValueError as exc:  # MalformedMessageError included
@@ -441,7 +480,7 @@ def test_checker_catches_a_partial_column_gained_later(dropped):
     slices = dict(state.slices)
     slices[1] = state.slices[1] & ~(1 << _pair(dropped, 0))
     trace.records[1].approx[1] = forge(
-        1, state.vertices, slices, state.pruned_before)
+        4, 1, state.vertices, slices, state.pruned_before)
     verdict = check_approx_invariants(trace)
     assert verdict.witness == {
         "rule": "slice", "process": 1, "round": 2, "slice": 1,
@@ -450,7 +489,7 @@ def test_checker_catches_a_partial_column_gained_later(dropped):
 
 
 def test_restrict_filters_by_label():
-    state = forge(0, {0, 1}, edges={(1, 0): (1 << 1) | (1 << 3)})
+    state = forge(N, 0, {0, 1}, edges={(1, 0): (1 << 1) | (1 << 3)})
     vertices, edges = approx_restrict(state, 2)
     assert vertices == {0} and edges == frozenset()
     vertices, edges = approx_restrict(state, 3)
@@ -459,18 +498,18 @@ def test_restrict_filters_by_label():
 
 def test_detected_component_singleton_rule():
     # An edgeless slice detects the owner alone.
-    assert detected_component(approx_init(4), 1) == {4}
+    assert detected_component(approx_init(4, N), 1) == {4}
 
 
 def test_detected_component_requires_strong_connectivity():
-    path = forge(0, {0, 1}, edges={(1, 0): 1 << 1})
+    path = forge(N, 0, {0, 1}, edges={(1, 0): 1 << 1})
     assert detected_component(path, 1) == frozenset()
-    cyc = forge(0, {0, 1}, edges={(1, 0): 1 << 1, (0, 1): 1 << 1})
+    cyc = forge(N, 0, {0, 1}, edges={(1, 0): 1 << 1, (0, 1): 1 << 1})
     assert detected_component(cyc, 1) == {0, 1}
 
 
 def test_in_stable_root_round_bounds():
-    state = approx_init(0)
+    state = approx_init(0, N)
     assert not in_stable_root(state, (0, 1), 5)  # round 0 has no data
     assert not in_stable_root(state, (2, 5), 5)  # round 5 not finished
     assert not in_stable_root(state, (3, 2), 5)  # empty interval
@@ -479,7 +518,7 @@ def test_in_stable_root_round_bounds():
 
 def test_in_stable_root_requires_equal_components():
     # Slice 2 is a path, so its detection is empty.
-    state = forge(0, {0, 1}, edges={(1, 0): 1 << 2})
+    state = forge(N, 0, {0, 1}, edges={(1, 0): 1 << 2})
     assert in_stable_root(state, (1, 1), 3)
     assert not in_stable_root(state, (1, 2), 4)
 
@@ -500,12 +539,12 @@ def test_absorb_union_is_commutative_and_monotone(items):
             if u != v:
                 edges[(u, v)] = edges.get((u, v), 0) | (1 << r)
         vertices = {owner} | {x for e in edges for x in e}
-        return forge(owner, vertices, edges=edges)
+        return forge(N, owner, vertices, edges=edges)
 
     a = approx_emit(snapshot(1, items[: len(items) // 2]))
     b = approx_emit(snapshot(2, items[len(items) // 2:]))
-    ab = approx_absorb(approx_init(0), 5, [a, b])
-    ba = approx_absorb(approx_init(0), 5, [b, a])
+    ab = approx_absorb(approx_init(0, N), 5, [a, b])
+    ba = approx_absorb(approx_init(0, N), 5, [b, a])
     assert ab == ba
     for msg in (a, b):
         for edge, mask in msg.graph.edges.items():
@@ -513,7 +552,7 @@ def test_absorb_union_is_commutative_and_monotone(items):
 
 
 def test_prune_drops_old_labels():
-    state = forge(0, {0, 1, 2},
+    state = forge(N, 0, {0, 1, 2},
                   edges={(1, 0): (1 << 1) | (1 << 5), (2, 0): 1 << 2})
     pruned = approx_prune(state, 3)
     assert pruned.edges[(1, 0)] == 1 << 5
@@ -565,7 +604,7 @@ def snapshot_sets(draw):
             max_size=n * (n - 1),
         ))
         vertices = {p} | {x for e in edges for x in e}
-        return forge(p, vertices, edges=edges), edges
+        return forge(n, p, vertices, edges=edges), edges
 
     senders = draw(st.lists(
         st.integers(0, n - 1).filter(lambda q: q != owner), unique=True))
@@ -580,7 +619,7 @@ def test_slice_layout_matches_edge_reference(case):
     n, r, state, received, edge_dicts = case
     for graph, edges in zip([state] + [m.graph for m in received], edge_dicts):
         assert graph.edges == edges
-        rebuilt = forge(graph.owner, graph.vertices, edges=edges)
+        rebuilt = forge(n, graph.owner, graph.vertices, edges=edges)
         assert rebuilt == graph
 
     merged = approx_absorb(state, r, received)
@@ -637,7 +676,8 @@ def test_detected_component_shared_across_owners(case):
     horizon, edges, owners = case
     ends = {x for e in edges for x in e}
     # Labels below a state's cutoff read as no data; it does not hold them.
-    states = [forge(p, ends | {p}, None, cutoff,
+    n = 1 + max(ends | {p for p, _ in owners})
+    states = [forge(n, p, ends | {p}, None, cutoff,
                     edges={e: m >> cutoff << cutoff for e, m in edges.items()
                            if m >> cutoff})
               for p, cutoff in owners]
@@ -697,12 +737,14 @@ def test_degree_masks_match_pair_layout():
 
 
 def _engine_chain(n, graphs, window, ids=None):
-    """Every state of an engine-like run: n processes, with ids `ids`
-    (0 .. n - 1 by default), absorb their in-neighbours' snapshots over the
-    round graphs (sets of index pairs), pruned to the last `window` rounds
-    after each round unless it is None."""
+    """Every state of an engine-like run: n processes, with ids `ids` in a
+    run on 301 (0 .. n - 1 in a run on n by default), absorb their
+    in-neighbours' snapshots over the round graphs (sets of index pairs),
+    pruned to the last `window` rounds after each round unless it is
+    None."""
+    size = n if ids is None else 301
     ids = ids or range(n)
-    states = [approx_init(ids[p]) for p in range(n)]
+    states = [approx_init(ids[p], size) for p in range(n)]
     chain = list(states)
     for r, edges in enumerate(graphs, 1):
         snaps = [approx_emit(s) for s in states]
@@ -720,9 +762,8 @@ def lineage_reads(draw):
     """(chain, reads): `_engine_chain` over 2 <= n <= 6 processes and
     r <= 10 random round graphs, optionally pruned to a random window, and
     random indices into it, with repeats, that interleave the lineages.  In
-    a third of the chains the ids are distinct draws up to 300, so a
-    process's slots widen when it first hears of a larger id, often past
-    256, the bound of the `_edge` cache."""
+    a third of the chains the ids are distinct draws up to 300, so edges
+    often join ids past 256, the bound of the `_edge` cache."""
     n = draw(st.integers(2, 6))
     horizon = draw(st.integers(1, 10))
     window = draw(st.none() | st.integers(0, 4))
@@ -770,10 +811,10 @@ def _assert_views_match_reference(state, cursor):
 
 
 @given(lineage_reads())
-@settings(deadline=None)  # a chain over ids near 300 has 90,000-bit slots
+@settings(deadline=None)  # a chain on 301 ids has 90,601-bit slots
 @example((_engine_chain(2, [{(0, 1)}, {(1, 0)}, {(0, 1), (1, 0)}], 1), [5, 2]))
-# Process 0 (id 3) hears of id 270 at round 2 and of id 299 at round 5, so
-# its slots widen twice while the window of two rounds moves its cutoff.
+# Process 0 (id 3) hears of id 270 at round 2 and of id 299 at round 5,
+# while the window of two rounds moves its cutoff.
 @example((_engine_chain(3, [{(0, 1)}, {(1, 0)}, {(2, 1), (1, 0)},
                             {(0, 2)}, {(1, 0), (0, 1)}], 2, [3, 270, 299]),
           [14, 3, 9]))
@@ -803,7 +844,7 @@ def test_cursor_reads_forged_mid_chain_state():
     edges = dict(real.edges)
     del edges[min(edges)]
     edges[(2, 1)] = 1 << 3 | 1 << 4
-    lineage[5] = forge(1, real.vertices, None, real.pruned_before,
+    lineage[5] = forge(3, 1, real.vertices, None, real.pruned_before,
                        edges=edges)
     assert lineage[5] != real
     cursor = EdgeCursor()

@@ -1,4 +1,7 @@
+import contextlib
 import json
+from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,6 @@ from dynconsensus import (
     gen_static_line,
     gen_static_star,
     gen_two_roots,
-    in_stable_root,
     report_csv,
     run,
     run_checkers,
@@ -180,7 +182,8 @@ class TestCheckers:
         state = trace.records[5].approx[0]
         forged = dict(state.edges)
         forged[(2, 1)] = 1 << 3  # (2 -> 1) never exists in the 3-cycle
-        trace.records[5].approx[0] = forge(0, state.vertices | {2, 1}, edges=forged)
+        trace.records[5].approx[0] = forge(3, 0, state.vertices | {2, 1},
+                                            edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
@@ -195,7 +198,7 @@ class TestCheckers:
         state = trace.records[5].approx[0]
         forged = dict(state.edges)
         forged[(2, 0)] = forged.get((2, 0), 0) | 1  # label 0
-        trace.records[5].approx[0] = forge(0, state.vertices, edges=forged)
+        trace.records[5].approx[0] = forge(3, 0, state.vertices, edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
@@ -209,12 +212,30 @@ class TestCheckers:
         forged = dict(state.edges)
         forged[(2, 9)] = 1 << 4  # vertices 7 and 9 do not exist for n = 3
         forged[(1, 7)] = 1 << 4
-        trace.records[5].approx[0] = forge(0, state.vertices | {7, 9}, edges=forged)
+        # Only the slots of a run on 10 or more processes hold edge 2 -> 9;
+        # the vertices rule precedes the width rule.
+        trace.records[5].approx[0] = forge(10, 0, state.vertices | {7, 9},
+                                           edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
             "rule": "vertices", "process": 0, "round": 6, "extra": 7,
         }
+
+    def test_approx_wider_slots_fail_the_checker(self):
+        # The same edges in the slots of a run on 4 processes: the checker
+        # names the width instead of reading slots of two layouts.
+        trace = run(three_cycle())
+        state = trace.records[5].approx[0]
+        trace.records[5].approx[0] = forge(4, 0, state.vertices,
+                                           state.slices)
+        verdict = check_approx_invariants(trace)
+        assert verdict.status == "fail"
+        assert verdict.witness == {
+            "rule": "width", "process": 0, "round": 6, "width": 16,
+            "expected": 9,
+        }
+        assert verdict == _reference_check_approx_invariants(trace)
 
     def test_approx_in_neighborhood_names_smallest_missing_edge(self):
         # Round graph: 1, 2, 3 -> 0 and 0 -> 1.  Process 0's own inbox is
@@ -232,7 +253,7 @@ class TestCheckers:
             forged[e] &= ~(1 << 3)
             if not forged[e]:
                 del forged[e]
-        trace.records[2].approx[0] = forge(0, state.vertices, edges=forged)
+        trace.records[2].approx[0] = forge(4, 0, state.vertices, edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
@@ -253,8 +274,9 @@ class TestCheckers:
         state = trace.records[r - 1].approx[0]
         forged = dict(state.edges)
         forged[(1, 2)] = 1 << t  # the star has no edge 1 -> 2
-        trace.records[r - 1].approx[0] = forge(0, state.vertices, None, state.pruned_before,
-                                                 edges=forged)
+        trace.records[r - 1].approx[0] = forge(4, 0, state.vertices, None,
+                                               state.pruned_before,
+                                               edges=forged)
         verdict = check_approx_invariants(trace)
         assert verdict.status == "fail"
         assert verdict.witness == {
@@ -286,7 +308,7 @@ class TestCheckers:
         state = trace.records[7].approx[0]
         slices = {s: m for s, m in state.slices.items() if s != 4}
         trace.records[7].approx[0] = forge(
-            state.owner, state.vertices, slices, state.pruned_before)
+            5, state.owner, state.vertices, slices, state.pruned_before)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
             "rule": "slice", "process": 0, "round": 8, "slice": 4,
@@ -301,7 +323,7 @@ class TestCheckers:
         state = trace.records[-1].approx[0]
         assert state.pruned_before > 1
         trace.records[-1].approx[0] = forge(
-            state.owner, state.vertices, state.slices, 0)
+            5, state.owner, state.vertices, state.slices, 0)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
             "rule": "pruned_before", "process": 0, "round": 15,
@@ -338,7 +360,7 @@ class TestCheckers:
         slices = dict(state.slices)
         slices[5] |= 1 << _pair(0, 2)
         slices[3] &= slices[3] - 1
-        trace.records[5].approx[0] = forge(0, state.vertices, slices)
+        trace.records[5].approx[0] = forge(3, 0, state.vertices, slices)
         verdict = check_approx_invariants(trace)
         assert verdict.witness == {
             "rule": "slice", "process": 0, "round": 6, "slice": 3,
@@ -558,6 +580,9 @@ def _reference_check_approx_invariants(trace):
             if state.vertices != vertices:
                 side, v = smallest(state.vertices, vertices)
                 return fail("vertices", process=p, round=r, **{side: v})
+            if state.width != n * n:
+                return fail("width", process=p, round=r, width=state.width,
+                            expected=n * n)
             held = _held_slices(state)
             for s in sorted(held.keys() | slices.keys()):
                 got, want = held.get(s, set()), slices.get(s, set())
@@ -584,21 +609,23 @@ def _reference_check_approx_invariants(trace):
                                 expected=sorted(members))
             if b - d >= a:
                 interval = (max(a, b - retained), b - d)
-                if not in_stable_root(trace.records[b - 1].approx[p],
-                                      interval, b):
+                if not harness.ap.in_stable_root(
+                        trace.records[b - 1].approx[p], interval, b):
                     return fail("stable_predicate", process=p,
                                 interval=list(interval), round=b)
     return CheckerVerdict("approx", "pass")
 
 
-def _forge(state, kind, t, rng):
-    """A copy of a state with slice t, its pruning cutoff or its owner
-    broken the way a faulty approximation layer could break it."""
+def _forge(n, state, kind, t, rng):
+    """A copy of a state of a run on n processes with slice t, its pruning
+    cutoff, its owner or its slot width broken the way a faulty
+    approximation layer could break it.  Every id stays in [0, n)."""
     slices = dict(state.slices)
     cutoff = state.pruned_before
     owner, vertices = state.owner, state.vertices
+    ids = range(min(n, len(vertices) + 1))
     if kind in ("add_edge", "bad_label"):
-        u, v = rng.sample(range(len(vertices) + 1), 2)
+        u, v = rng.sample(ids, 2)
         slices[t] = slices.get(t, 0) | 1 << _pair(u, v)
         vertices = vertices | {u, v}
     elif kind == "drop_in_edge" and t in slices:
@@ -611,16 +638,18 @@ def _forge(state, kind, t, rng):
     elif kind == "lower_cutoff":
         cutoff = rng.randint(0, max(0, cutoff - 1))
     elif kind == "change_owner":
-        owner = rng.randrange(len(vertices) + 1)
+        owner = rng.choice(ids)
         vertices = vertices | {owner}
+    elif kind == "widen":  # the same slices in the slots of n + 1 ids
+        n += 1
     # No state holds a label below its cutoff, so a forged label there
     # lowers the cutoff with it.
     cutoff = min([cutoff, *(s for s, m in slices.items() if m)])
-    return forge(owner, vertices, slices, cutoff)
+    return forge(n, owner, vertices, slices, cutoff)
 
 
 FORGERIES = ("add_edge", "drop_in_edge", "drop_slice", "bad_label",
-             "lower_cutoff", "change_owner")
+             "lower_cutoff", "change_owner", "widen")
 
 
 @st.composite
@@ -656,15 +685,40 @@ def forged_runs(draw):
         t = (draw(st.sampled_from([0, r + 1, r + 3])) if kind == "bad_label"
              else draw(st.integers(1, r)))
         for rec in trace.records[r - 1:r - 1 + draw(st.integers(1, 3))]:
-            rec.approx[p] = _forge(rec.approx[p], kind, t, rng)
+            rec.approx[p] = _forge(n, rec.approx[p], kind, t, rng)
     return trace
 
 
-@given(forged_runs())
+_real_strong = harness.ap._strong
+
+
+def _over_strong(m):
+    """`_strong` that calls a slice with an even number of edges strongly
+    connected on all its endpoints."""
+    if m.bit_count() % 2:
+        return _real_strong(m)
+    return frozenset(x for e in harness.ap._decode(m) for x in e)
+
+
+# Faults of what the protocol computes from A_p, each a function of the
+# slice int or of nothing, as the real one is of the slice int.
+DETECTION_FAULTS = {
+    "over_strong": ("_strong", _over_strong),
+    "under_strong": ("_strong", lambda m: frozenset()),
+    "never_stable": ("in_stable_root", lambda *args: False),
+}
+
+
+@given(forged_runs(), st.sampled_from([None, *DETECTION_FAULTS]))
 @settings(max_examples=300, deadline=None)
-def test_approx_checker_matches_set_reference(trace):
-    assert check_approx_invariants(trace) == (
-        _reference_check_approx_invariants(trace))
+def test_approx_checker_matches_set_reference(trace, fault):
+    # A drawn detection-side fault is applied to both checkers, so the
+    # checker's soundness recheck of the changed slices alone is compared
+    # with the reference's check of every slice on wrong detections too.
+    with (mock.patch.object(harness.ap, *DETECTION_FAULTS[fault])
+          if fault else contextlib.nullcontext()):
+        assert check_approx_invariants(trace) == (
+            _reference_check_approx_invariants(trace))
 
 
 @given(short_scenarios())
@@ -689,7 +743,7 @@ def _forgetful_absorb(state, r, received):
     """`approx_absorb` that drops every received slice whose label is a
     multiple of 7."""
     kept = [ApproxMessage(m.sender, forge(
-        m.graph.owner, m.graph.vertices,
+        isqrt(state.width), m.graph.owner, m.graph.vertices,
         {s: x for s, x in m.graph.slices.items() if s % 7},
         m.graph.pruned_before)) for m in received]
     return _real_absorb(state, r, kept)
