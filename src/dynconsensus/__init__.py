@@ -7,10 +7,8 @@ from .graphs import (
     MultipleRootsError,
     NotVertexStableError,
     OutOfRangeError,
-    RootReport,
     RoundGraph,
     StabilityReport,
-    StableIntervalReport,
     causal_distance,
     check_d_bounded,
     find_r_st,
@@ -54,7 +52,6 @@ from .adversary import (
     gen_static_line,
     gen_static_star,
     gen_two_roots,
-    sampled_expansion,
     scenario_load,
     scenario_save,
 )

@@ -499,34 +499,7 @@ def gen_expander(cfg, seed, horizon):
     sc = _scenario("expander", seed, cfg.n, d_bound, seq.rounds, ASSUMPTION_2,
                    measured_diameter=int(measured))
     for t, rr in enumerate(sc.facts.roots, start=1):
-        if not (rr.is_single and rr.roots[0] == root):
+        if rr != (root,):
             raise AssertionError(f"round {t}: root is not R")
     return sc
 
-
-def sampled_expansion(g, root, samples=200, seed=0):
-    """Minimum |N+(S) \\ S| / |S| over random S with R included and |S| <= n/2.
-
-    A cheap stand-in for an exact vertex-expansion certificate.
-    """
-    rng = random.Random(f"expansion:{seed}:{g.n}")
-    root = sorted(root)
-    others = [v for v in range(g.n) if v not in set(root)]
-    limit = g.n // 2
-    out = g.out_masks()
-    worst = None
-    for _ in range(samples):
-        extra = rng.randint(0, max(0, limit - len(root)))
-        s = set(root) | set(rng.sample(others, extra))
-        if len(s) > limit or not s:
-            continue
-        mask = 0
-        smask = 0
-        for v in s:
-            smask |= 1 << v
-            mask |= out[v]
-        boundary = (mask & ~smask).bit_count()
-        ratio = boundary / len(s)
-        if worst is None or ratio < worst:
-            worst = ratio
-    return worst

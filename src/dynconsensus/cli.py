@@ -102,7 +102,7 @@ def _generate(args, seed):
 
 def _print_validation(sc):
     report = sc.facts
-    counts = sorted({len(rr.roots) for rr in report.roots})
+    counts = sorted({len(rr) for rr in report.roots})
     print(f"generator={sc.meta.get('generator')} n={sc.n} D={sc.d_bound} "
           f"T={sc.horizon}")
     print(f"roots_per_round={counts}")
@@ -165,7 +165,7 @@ def cmd_oracle(args):
         if name == "roots":
             rounds = [int(q[0])] if q else range(1, sc.horizon + 1)
             for r in rounds:
-                roots = root_components(sc.seq.round(r)).roots
+                roots = root_components(sc.seq.round(r))
                 print(f"{r}: {[sorted(c) for c in roots]}")
         elif name == "cd":
             p, qq, r = map(int, q)

@@ -65,12 +65,6 @@ class RoundGraph:
     def in_masks(self):
         return self._in_masks
 
-    def in_neighbors(self, q):
-        return frozenset(_bits(self.in_masks()[q]))
-
-    def out_neighbors(self, p):
-        return frozenset(_bits(self.out_masks()[p]))
-
     def sorted_edges(self):
         return sorted(self.edges)
 
@@ -127,41 +121,13 @@ class GraphSequence:
         return f"GraphSequence(n={self.n}, T={self.horizon})"
 
 
-@dataclass(frozen=True)
-class RootReport:
-    """Root components of one round graph."""
-
-    roots: tuple
-
-    @property
-    def is_single(self):
-        return len(self.roots) == 1
-
-
-@dataclass
-class StableIntervalReport:
-    """A maximal interval over which the root component's vertex set is constant.
-
-    Diameter fields stay None unless explicitly requested; vertex_set is
-    None on a run of rounds with more than one root component.
-    """
-
-    interval: tuple
-    vertex_set: frozenset | None
-    per_round_diameter: dict | None = None
-    interval_diameter: float | None = None
-
-    @property
-    def multi_root(self):
-        return self.vertex_set is None
-
-
 @dataclass
 class StabilityReport:
     """The oracle's facts about one sequence and D: the r_ST search outcome,
     assumption-clause violations, the root components of every round
-    (roots[r - 1] for round r), and the maximal single-root vertex-stable
-    intervals longer than D that are D-bounded, as (a, b, members)."""
+    (roots[r - 1] is root_components of round r), and the maximal
+    single-root vertex-stable intervals longer than D that are D-bounded,
+    as (a, b, members)."""
 
     r_st: int | None
     multi_root_rounds: list = field(default_factory=list)
@@ -212,7 +178,8 @@ def root_components(g):
     Bitmask reachability, by descent: from each uncovered vertex, step to
     the lowest vertex w that reaches the current one but is not reached by
     it, which strictly shrinks the set reaching it.  Once there is no w, that
-    set is a root component, and all it reaches is covered.  Sorted by min.
+    set is a root component, and all it reaches is covered.  A tuple of
+    frozensets, sorted by smallest member.
     """
     out, inn = g.out_masks(), g.in_masks()
     roots = []
@@ -226,7 +193,7 @@ def root_components(g):
             fwd, back = _closure(out, w), _closure(inn, w)
         roots.append(frozenset(_bits(back)))
         covered |= fwd
-    return RootReport(roots=tuple(sorted(roots, key=min)))
+    return tuple(sorted(roots, key=min))
 
 
 def causal_reach(seq, r, p, max_steps=None):
@@ -313,7 +280,9 @@ def _is_d_bounded(per_round, a, b, diameter, d_bound):
 
 
 def scc_causal_diameter(seq, interval, members):
-    """Per-round and interval causal diameters of a vertex-stable SCC."""
+    """Causal diameters of a vertex-stable SCC over interval [r, s]: the pair
+    (per_round, interval_diameter), per_round mapping each round x in [r, s]
+    to the largest cd_x between members."""
     r, s = interval
     if not 1 <= r <= s <= seq.horizon:
         raise OutOfRangeError(f"interval {interval} outside [1, {seq.horizon}]")
@@ -334,12 +303,7 @@ def scc_causal_diameter(seq, interval, members):
     per_round = {
         x: round_diameter(seq, x, members, members) for x in range(r, s + 1)
     }
-    return StableIntervalReport(
-        interval=(r, s),
-        vertex_set=members,
-        per_round_diameter=per_round,
-        interval_diameter=_interval_diameter(per_round, r, s),
-    )
+    return per_round, _interval_diameter(per_round, r, s)
 
 
 def network_causal_diameter(seq, interval):
@@ -349,39 +313,34 @@ def network_causal_diameter(seq, interval):
         raise OutOfRangeError(f"interval {interval} outside [1, {seq.horizon}]")
     per_round = {}
     for x in range(r, s + 1):
-        report = root_components(seq.round(x))
-        if not report.is_single:
+        roots = root_components(seq.round(x))
+        if len(roots) != 1:
             raise MultipleRootsError(
-                f"round {x} has {len(report.roots)} root components"
+                f"round {x} has {len(roots)} root components"
             )
         # Diameters larger than the remaining window cannot qualify anyway,
         # so the reachability search is capped at s - x + 1 steps.
-        per_round[x] = round_diameter(
-            seq, x, report.roots[0], max_steps=s - x + 1
-        )
+        per_round[x] = round_diameter(seq, x, roots[0], max_steps=s - x + 1)
     return _interval_diameter(per_round, r, s)
 
 
-def _stable_runs(root_reports):
-    """Group per-round RootReports (round 1 first) into maximal intervals
-    with a constant single-root vertex set; runs of multi-root rounds are
-    reported separately with multi_root=True."""
-    reports = []
-    for x, rr in enumerate(root_reports, start=1):
-        # vertex_set is None exactly on multi-root rounds.
-        vset = rr.roots[0] if rr.is_single else None
-        if reports and reports[-1].vertex_set == vset:
-            reports[-1].interval = (reports[-1].interval[0], x)
+def _stable_runs(roots):
+    """Group per-round root components (round 1 first) into maximal runs
+    [a, b] with a constant single-root vertex set, as (a, b, members);
+    members is None on a run of multi-root rounds."""
+    runs = []
+    for x, rr in enumerate(roots, start=1):
+        members = rr[0] if len(rr) == 1 else None
+        if runs and runs[-1][2] == members:
+            runs[-1] = (runs[-1][0], x, members)
         else:
-            reports.append(StableIntervalReport((x, x), vset))
-    return reports
+            runs.append((x, x, members))
+    return runs
 
 
 def vertex_stable_intervals(seq):
-    """Maximal intervals with a constant single-root vertex set.
-
-    Runs of multi-root rounds are reported separately with multi_root=True.
-    """
+    """Maximal intervals with a constant single-root vertex set, as
+    (a, b, members); members is None on a run of multi-root rounds."""
     return _stable_runs(root_components(g) for g in seq.rounds)
 
 
@@ -390,10 +349,8 @@ def check_d_bounded(seq, interval, members, d_bound):
     late-start diameter at round s - D + 1 both at most D."""
     if d_bound < 1:
         raise ValueError("D must be >= 1")
-    report = scc_causal_diameter(seq, interval, members)
-    return _is_d_bounded(
-        report.per_round_diameter, *interval, report.interval_diameter, d_bound
-    )
+    per_round, diameter = scc_causal_diameter(seq, interval, members)
+    return _is_d_bounded(per_round, *interval, diameter, d_bound)
 
 
 def find_r_st(seq, d_bound):
@@ -415,16 +372,14 @@ def find_r_st(seq, d_bound):
     report = StabilityReport(
         r_st=None,
         multi_root_rounds=[
-            x for x, rr in enumerate(roots, start=1) if not rr.is_single
+            x for x, rr in enumerate(roots, start=1) if len(rr) != 1
         ],
         roots=roots,
     )
-    for rep in _stable_runs(roots):
-        a0, b0 = rep.interval
-        if rep.multi_root or b0 - a0 + 1 < d_bound:
+    for a0, b0, members in _stable_runs(roots):
+        if members is None or b0 - a0 + 1 < d_bound:
             # No interval shorter than D is D-bounded.
             continue
-        members = rep.vertex_set
         # Capped at the end of this stable run: any propagation that
         # qualifies for a sub-interval must finish inside it.
         per_round = {

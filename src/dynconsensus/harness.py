@@ -380,7 +380,7 @@ def check_approx_invariants(trace):
             recheck = {s for s, _, m in changed if m and s < r} | {r - 1}
             for s in sorted(recheck - {0}):
                 comp = ap.detected_component(state, s)
-                if comp and (p not in comp or comp not in roots[s - 1].roots):
+                if comp and (p not in comp or comp not in roots[s - 1]):
                     return fail("detected_not_root", process=p, round=r,
                                 slice=s, detected=sorted(comp))
 
@@ -438,9 +438,9 @@ def check_lock_discipline(trace):
     lo, hi = lock_round - d - 1, lock_round + d
     if lo < 1 or hi > sc.horizon:
         return fail("window_out_of_range", window=[lo, hi])
-    members = roots[lo - 1].roots[0]
+    members = roots[lo - 1][0]
     for x in range(lo, hi + 1):
-        if roots[x - 1].roots[0] != members:
+        if roots[x - 1][0] != members:
             return fail("not_vertex_stable", round=x)
 
     def lockers(r):

@@ -158,8 +158,8 @@ def test_acceptance_4_causal_diameter_bounds():
     ok = True
     for _ in range(200):
         seq, k, horizon = _random_stable_scc_instance(rng)
-        report = scc_causal_diameter(seq, (1, horizon), set(range(k)))
-        ok = ok and report.interval_diameter <= k - 1
+        _, diameter = scc_causal_diameter(seq, (1, horizon), set(range(k)))
+        ok = ok and diameter <= k - 1
         for r in range(1, horizon):
             for p in range(seq.n):
                 for q in range(seq.n):
@@ -177,10 +177,12 @@ def test_acceptance_4_causal_diameter_bounds():
 
 def test_acceptance_5_worked_example():
     sc = gen_complete_then_rings()
-    report = scc_causal_diameter(sc.seq, (1, 3), frozenset(range(4)))
-    ok = report.interval_diameter == 1
+    per_round, diameter = scc_causal_diameter(
+        sc.seq, (1, 3), frozenset(range(4))
+    )
+    ok = diameter == 1
     # Propagation starting at round 2 does not finish by round 3.
-    ok = ok and report.per_round_diameter[2] == INFINITY
+    ok = ok and per_round[2] == INFINITY
     ok = ok and not check_d_bounded(sc.seq, (1, 3), frozenset(range(4)), 1)
     _verdict(5, "complete-then-rings: D(C^[1,3])=1, round-2 start incomplete", ok)
 
@@ -232,7 +234,7 @@ def _brute_force_reach(seq, r, p):
         if r + k > seq.horizon:
             return
         g = seq.round(r + k)
-        for w in sorted(g.out_neighbors(v) | {v}):
+        for w in sorted({q for u, q in g.edges if u == v} | {v}):
             extend(w, k + 1)
 
     extend(p, 0)

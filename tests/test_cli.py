@@ -133,8 +133,20 @@ def test_oracle_queries(tmp_path, capsys):
     assert main(["oracle", "--scenario", str(sc), "rst"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
+    assert main(["oracle", "--scenario", str(sc), "diam", "1", "20"]) == 0
+    assert capsys.readouterr().out.strip() == "4"
+
     assert main(["oracle", "--scenario", str(sc), "nonsense"]) == 2
     capsys.readouterr()
+
+    two = tmp_path / "two.json"
+    main([
+        "generate", "--gen", "two_roots", "--n0", "2", "--n1", "2",
+        "--horizon", "10", "--out", str(two),
+    ])
+    capsys.readouterr()
+    assert main(["oracle", "--scenario", str(two), "roots", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1: [[0, 1], [2, 3]]"
 
 
 @pytest.mark.parametrize("query, form", [

@@ -47,8 +47,11 @@ class TestRoundGraph:
 
     def test_neighbors(self):
         g = RoundGraph(5, FIG_EDGES)
-        assert g.in_neighbors(1) == {0, 4}
-        assert g.out_neighbors(3) == {0, 4}
+        assert {p for p, q in g.edges if q == 1} == {0, 4}
+        assert {q for p, q in g.edges if p == 3} == {0, 4}
+        # The adjacency masks agree with the edge set.
+        assert g.in_masks()[1] == 0b10001
+        assert g.out_masks()[3] == 0b10001
 
     def test_sequence_indexing_is_one_based(self):
         seq = static(3, [(0, 1)], 4)
@@ -120,7 +123,7 @@ class TestScc:
             )
             assert scc_decompose(g) == expected
             # Root components: the SCCs that nothing outside reaches.
-            assert root_components(g).roots == tuple(
+            assert root_components(g) == tuple(
                 c
                 for c in expected
                 if not any(reach[p][min(c)] for p in range(n) if p not in c)
@@ -129,18 +132,16 @@ class TestScc:
 
 class TestRootComponents:
     def test_figure_graph_single_root(self):
-        report = root_components(RoundGraph(5, FIG_EDGES))
-        assert report.is_single
-        assert report.roots == (frozenset({3}),)
+        assert root_components(RoundGraph(5, FIG_EDGES)) == (frozenset({3}),)
 
     def test_isolated_processes(self):
-        report = root_components(RoundGraph(3))
-        assert len(report.roots) == 3 and not report.is_single
+        roots = root_components(RoundGraph(3))
+        assert roots == (frozenset({0}), frozenset({1}), frozenset({2}))
 
     def test_two_cycles_feeding_a_sink(self):
         edges = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 4), (2, 4)]
-        report = root_components(RoundGraph(5, edges))
-        assert set(report.roots) == {frozenset({0, 1}), frozenset({2, 3})}
+        roots = root_components(RoundGraph(5, edges))
+        assert roots == (frozenset({0, 1}), frozenset({2, 3}))
 
     def test_count_always_between_1_and_n(self):
         rng = random.Random("roots-range")
@@ -152,10 +153,10 @@ class TestRootComponents:
                 for q in range(n)
                 if p != q and rng.random() < 0.4
             ]
-            report = root_components(RoundGraph(n, edges))
-            assert 1 <= len(report.roots) <= n
+            roots = root_components(RoundGraph(n, edges))
+            assert 1 <= len(roots) <= n
             seen = set()
-            for comp in report.roots:
+            for comp in roots:
                 assert not comp & seen
                 seen |= comp
 
@@ -218,14 +219,15 @@ class TestCausalDistance:
 class TestSccCausalDiameter:
     def test_static_three_cycle(self):
         seq = static(3, cycle_edges(3), 5)
-        report = scc_causal_diameter(seq, (1, 3), {0, 1, 2})
-        assert report.interval_diameter == 2
-        assert report.per_round_diameter[1] == 2
+        per_round, diameter = scc_causal_diameter(seq, (1, 3), {0, 1, 2})
+        assert diameter == 2
+        assert per_round == {1: 2, 2: 2, 3: 2}
 
     def test_singleton(self):
         seq = static(2, [(0, 1)], 5)
-        report = scc_causal_diameter(seq, (1, 4), {0})
-        assert report.interval_diameter == 1
+        assert scc_causal_diameter(seq, (1, 4), {0}) == (
+            {1: 1, 2: 1, 3: 1, 4: 1}, 1
+        )
 
     def test_complete_then_rings(self):
         complete = RoundGraph(
@@ -233,10 +235,10 @@ class TestSccCausalDiameter:
         )
         ring = RoundGraph(4, cycle_edges(4))
         seq = GraphSequence(4, [complete, ring, ring])
-        report = scc_causal_diameter(seq, (1, 3), {0, 1, 2, 3})
-        assert report.interval_diameter == 1
+        per_round, diameter = scc_causal_diameter(seq, (1, 3), {0, 1, 2, 3})
+        assert diameter == 1
         # Propagation starting at round 2 cannot finish within the interval.
-        assert report.per_round_diameter[2] == INFINITY
+        assert per_round[2] == INFINITY
 
     def test_not_vertex_stable(self):
         seq = GraphSequence(
@@ -275,8 +277,8 @@ class TestSccCausalDiameter:
                         edges.add((u, v))
                 rounds.append(RoundGraph(k, edges))
             seq = GraphSequence(k, rounds)
-            report = scc_causal_diameter(seq, (1, horizon), set(range(k)))
-            assert report.interval_diameter <= k - 1
+            _, diameter = scc_causal_diameter(seq, (1, horizon), set(range(k)))
+            assert diameter <= k - 1
 
 
 class TestNetworkCausalDiameter:
@@ -301,33 +303,59 @@ class TestNetworkCausalDiameter:
 class TestVertexStableIntervals:
     def test_static_graph_is_one_interval(self):
         seq = static(4, line_edges(4), 7)
-        reports = vertex_stable_intervals(seq)
-        assert len(reports) == 1
-        assert reports[0].interval == (1, 7)
-        assert reports[0].vertex_set == frozenset({0})
+        assert vertex_stable_intervals(seq) == [(1, 7, frozenset({0}))]
 
     def test_root_change_splits(self):
         a = RoundGraph(3, [(0, 1), (0, 2)])
         b = RoundGraph(3, [(1, 0), (1, 2)])
         seq = GraphSequence(3, [a, a, b])
-        reports = vertex_stable_intervals(seq)
-        assert [rep.interval for rep in reports] == [(1, 2), (3, 3)]
+        assert vertex_stable_intervals(seq) == [
+            (1, 2, frozenset({0})), (3, 3, frozenset({1}))
+        ]
 
     def test_alternating_roots(self):
         a = RoundGraph(2, [(0, 1)])
         b = RoundGraph(2, [(1, 0)])
         seq = GraphSequence(2, [a, b, a, b])
-        reports = vertex_stable_intervals(seq)
-        assert [rep.interval for rep in reports] == [
-            (1, 1), (2, 2), (3, 3), (4, 4)
-        ]
+        intervals = [(a, b) for a, b, _ in vertex_stable_intervals(seq)]
+        assert intervals == [(1, 1), (2, 2), (3, 3), (4, 4)]
 
     def test_multi_root_rounds_reported_separately(self):
         single = RoundGraph(3, [(0, 1), (0, 2)])
         multi = RoundGraph(3, [(0, 2), (1, 2)])
         seq = GraphSequence(3, [single, multi, single])
-        reports = vertex_stable_intervals(seq)
-        assert [rep.multi_root for rep in reports] == [False, True, False]
+        assert vertex_stable_intervals(seq) == [
+            (1, 1, frozenset({0})), (2, 2, None), (3, 3, frozenset({0}))
+        ]
+
+    def test_oracle_facts_lie_in_the_runs(self):
+        # Every D-bounded interval of the oracle's facts is a whole run, and
+        # every interval that is not D-bounded lies inside one single-root
+        # run.  complete_then_rings (D = 1) supplies the unbounded intervals.
+        from dynconsensus import (
+            gen_complete_then_rings, gen_rotating_roots, gen_stable_window,
+        )
+
+        rng = random.Random("runs-vs-facts")
+        scenarios = [gen_complete_then_rings(h) for h in range(2, 7)]
+        for seed in range(100):
+            n = rng.randint(3, 8)
+            d = rng.randint(1, min(3, n - 1))
+            scenarios.append(gen_stable_window(
+                seed=seed, n=n, d_bound=d, r_st=rng.randint(1, 4)))
+            scenarios.append(gen_rotating_roots(
+                seed=seed, n=n, d_bound=d, horizon=rng.randint(5, 25)))
+        bounded = unbounded = 0
+        for sc in scenarios:
+            runs = vertex_stable_intervals(sc.seq)
+            for triple in sc.facts.d_bounded_intervals:
+                assert triple in runs
+            for a, b in sc.facts.unbounded_intervals:
+                holders = [m for a0, b0, m in runs if a0 <= a and b <= b0]
+                assert len(holders) == 1 and holders[0] is not None
+            bounded += len(sc.facts.d_bounded_intervals)
+            unbounded += len(sc.facts.unbounded_intervals)
+        assert bounded >= 100 and unbounded > 0
 
 
 class TestCheckDBounded:
