@@ -16,12 +16,10 @@ from A_p repeat across processes.  The pure functions of immutable values
 (`_strong`, `_allowed_mask`, `_label_text`, `_edge`) are bounded
 module-level caches that every process shares.  The transitions keep a
 state's well-formedness up to date, so validating a received snapshot takes
-a few comparisons, not a pass over its bits.  `changed_slices` finds the
-slices two states differ in from the XOR of their ints; the approximation
-checker compares it with the changes the graph sequence implies.
-Edge-major views are for reading traces: `ApproxState.edges` transposes
-one state, and an `EdgeCursor` walks one process's states in round order,
-moving its transposition by the slices that changed.
+a few comparisons, not a pass over its bits.  Edge-major views are for
+reading traces: `ApproxState.edges` transposes one state, and an
+`EdgeCursor` walks one process's states in round order, moving its
+transposition by the slots set in the XOR of consecutive packed ints.
 """
 
 from __future__ import annotations
@@ -102,35 +100,6 @@ def _edge(b):
     return _unpair(b)
 
 
-def changed_slices(prev, state):
-    """[(s, old, new)] for every slice s whose edge bits differ from state
-    `prev` to `state`, ascending in s; `prev` None is the state without
-    slices.  Both states have the same width.  A slice below `state`'s
-    pruning cutoff that `prev` still holds reads as new = 0.  The two ints
-    are aligned to the lower cutoff, and the changed slots are read off
-    their XOR from the top, one bit length each."""
-    width, base = state.width, state.pruned_before
-    a, b = 0, state.packed
-    if prev is not None:
-        a = prev.packed
-        lift = state.pruned_before - prev.pruned_before
-        if lift > 0:
-            b <<= lift * width
-            base = prev.pruned_before
-        elif lift < 0:
-            a <<= -lift * width
-    diff, mask, changed = a ^ b, (1 << width) - 1, []
-    while diff:
-        k = (diff.bit_length() - 1) // width
-        shift = k * width
-        flips = diff >> shift  # slot k's changed bits, the top slot left
-        diff ^= flips << shift
-        new = b >> shift & mask
-        changed.append((base + k, new ^ flips, new))
-    changed.reverse()
-    return changed
-
-
 class EdgeCursor:
     """The slice -> edge transposition of one process's states, read in
     round order.  Consecutive states differ in a few slices, so moving to
@@ -155,16 +124,32 @@ class EdgeCursor:
 
     def _move(self, state):
         """XOR each slice that changed since the held state into the edge
-        masks and re-render only the touched edges.  Vanished edges are
-        filtered out of `order`; appeared ones are appended and merged in by
-        a sort of the mostly sorted list."""
-        masks, touched = self.masks, {}
-        for s, old, new in changed_slices(self.state, state):
-            label = 1 << s
-            for b in _set_bits(old ^ new):
-                before = masks.get(b, 0)
-                touched.setdefault(b, before)
-                masks[b] = before ^ label
+        masks and re-render only the touched edges.  The two packed ints
+        are aligned to the lower cutoff, so a slice below `state`'s that
+        the held state still has reads as emptied, and the changed slots
+        are read off their XOR from the top, one bit length each.  Vanished
+        edges are filtered out of `order`; appeared ones are appended and
+        merged in by a sort of the mostly sorted list."""
+        width, base = state.width, state.pruned_before
+        a, b = 0, state.packed
+        if self.state is not None:
+            a = self.state.packed
+            lift = base - self.state.pruned_before
+            if lift > 0:
+                b <<= lift * width
+                base -= lift
+            elif lift < 0:
+                a <<= -lift * width
+        diff, masks, touched = a ^ b, self.masks, {}
+        while diff:
+            k = (diff.bit_length() - 1) // width
+            flips = diff >> k * width  # slot k's changed bits, the top left
+            diff ^= flips << k * width
+            label = 1 << base + k
+            for bit in _set_bits(flips):
+                before = masks.get(bit, 0)
+                touched.setdefault(bit, before)
+                masks[bit] = before ^ label
         frags, order, vanished, appeared = self.frags, self.order, False, []
         for b, before in touched.items():
             e = _edge(b)

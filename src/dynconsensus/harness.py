@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from . import approximation as ap
 from . import consensus as cs
+from .adversary import scenario_to_dict
 from .graphs import _bits
 
 
@@ -43,8 +44,6 @@ def approx_digest(state, cursor):
 
 
 def scenario_digest(sc):
-    from .adversary import scenario_to_dict
-
     payload = json.dumps(scenario_to_dict(sc), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -281,37 +280,39 @@ def check_approx_invariants(trace):
     `heard[w]` whose n-bit slot s is the set of v whose round-s state w has
     heard.  Each round it ORs in the previous `heard[u]` of each
     in-neighbour u, sets bit w of slot r and, pruned, clears slots
-    1 .. r - 4D - 1 (slot 0, the vertices, stays).  A slot that grew ORs
-    the receiver columns of the newly heard v, their in-edge bits
-    `_pair(u, v)`, into that process's expected slice.
+    1 .. r - 4D - 1 (slot 0, the vertices, stays).  The expected A_p of
+    each process is one int in the engine's layout, slot k holding slice
+    cut + k: each round it shifts right by the slots the cutoff passed,
+    and a slot of `heard` that grew ORs the receiver columns of the newly
+    heard v, their in-edge bits `_pair(u, v)`, into its slice's slot.
 
     Round by round, then process by process, a state must have owner p,
     the expected `pruned_before` and `vertices`, and the run's slot width
-    n*n, and `ap.changed_slices` from the previous state must list exactly
-    the expected changes: the previous state matched, so then the whole
-    state does.  A witness names the first differing slice and its
-    smallest extra or missing edge, the smallest extra or missing vertex,
-    or the state's width and the expected one.
+    n*n, and its packed int must equal the expected one.  A witness names
+    the lowest differing slice and its smallest extra or missing edge, the
+    smallest extra or missing vertex, or the state's width and the
+    expected one.
 
     Exactness does not cover `detected_component` and `in_stable_root`, so
     soundness (a nonempty detected component of a completed slice is a root
     component holding the owner), detection latency over D-bounded stable
     root intervals and the end-of-interval predicate remain.  A detected
     component depends only on the owner, the slice and `pruned_before`, so
-    soundness is checked at round r on the slices that changed and on slice
-    r - 1, completed this round; every other slice passed a round earlier.
+    soundness is checked at round r on the slices the fold saw grow and on
+    slice r - 1, completed this round; every other slice passed a round
+    earlier.
     """
     sc = trace.scenario
     seq, n, d, horizon = sc.seq, sc.n, sc.d_bound, sc.horizon
     roots = sc.facts.roots
-    slot = (1 << n) - 1
+    slot, width = (1 << n) - 1, n * n
     # A round-t state holds the slices from t - retained on.
     retained = 4 * d if trace.pruned else horizon
     heard = [1 << w for w in range(n)]
     vertices = [frozenset((w,)) for w in range(n)]
-    expected = [[0] * (horizon + 1) for _ in range(n)]  # [w][s]: slice s
-    cols = [None]  # cols[s][v]: the in-edge bits of v in G^s
-    states = [None] * n
+    expected = [0] * n  # [w]: w's A_p, slot k holding slice cut + k
+    cols = [None]  # cols[s][v]: the in-edge bits of v in G^s, s >= cut
+    cut = 0
 
     def fail(rule, **witness):
         return CheckerVerdict("approx", "fail", witness={"rule": rule, **witness})
@@ -320,14 +321,17 @@ def check_approx_invariants(trace):
         senders = [tuple(_bits(m)) for m in seq.round(r).in_masks()]
         cols.append([sum(1 << ap._pair(u, v) for u in us)
                      for v, us in enumerate(senders)])
-        cut = max(0, r - retained)
+        last_cut, cut = cut, max(0, r - retained)
+        if cut != last_cut:
+            cols[cut - 1] = None
+            expected = [e >> (cut - last_cut) * width for e in expected]
         before, heard = heard, []
         for w, us in enumerate(senders):
             h = before[w] | 1 << r * n + w
             for u in us:
                 h |= before[u]
             heard.append(h & (-1 << cut * n | slot))
-        prev, states = states, trace.records[r - 1].approx
+        states = trace.records[r - 1].approx
 
         for p in range(n):
             state = states[p]
@@ -343,42 +347,36 @@ def check_approx_invariants(trace):
                 v = min(state.vertices ^ vertices[p])
                 side = "extra" if v in state.vertices else "missing"
                 return fail("vertices", process=p, round=r, **{side: v})
-            if state.width != n * n:
+            if state.width != width:
                 return fail("width", process=p, round=r, width=state.width,
-                            expected=n * n)
+                            expected=width)
 
-            slices, want = expected[p], []
-            if cut and slices[cut - 1]:  # pruned this round
-                want.append((cut - 1, slices[cut - 1], 0))
-                slices[cut - 1] = 0
+            e, recheck = expected[p], {r - 1}
             grew &= ~slot
             while grew:
                 s = ((grew & -grew).bit_length() - 1) // n
                 newly = grew >> s * n & slot
                 grew ^= newly << s * n
-                old = m = slices[s]
+                m = 0
                 while newly:
                     v = newly & -newly
                     m |= cols[s][v.bit_length() - 1]
                     newly ^= v
-                if m != old:
-                    slices[s] = m
-                    want.append((s, old, m))
-            changed = ap.changed_slices(prev[p], state)
-            if changed != want:
-                # The previous state matched, so a slice that one list
-                # leaves out keeps its old value on that side.
-                olds = {s: m for s, m, _ in changed + want}
-                got, exp = ({**olds, **{s: m for s, _, m in c}}
-                            for c in (changed, want))
-                s = min(s for s in olds if got[s] != exp[s])
-                edge = min(ap._decode(got[s] ^ exp[s]))
-                side = "extra" if got[s] >> ap._pair(*edge) & 1 else "missing"
-                return fail("slice", process=p, round=r, slice=s,
+                shift = (s - cut) * width
+                if m & ~(e >> shift):
+                    e |= m << shift
+                    recheck.add(s)
+            expected[p] = e
+            if state.packed != e:
+                diff = state.packed ^ e
+                k = ((diff & -diff).bit_length() - 1) // width
+                edge = min(ap._decode(diff >> k * width & (1 << width) - 1))
+                bit = k * width + ap._pair(*edge)
+                side = "extra" if state.packed >> bit & 1 else "missing"
+                return fail("slice", process=p, round=r, slice=cut + k,
                             **{side: list(edge)})
 
-            recheck = {s for s, _, m in changed if m and s < r} | {r - 1}
-            for s in sorted(recheck - {0}):
+            for s in sorted(recheck - {0, r}):
                 comp = ap.detected_component(state, s)
                 if comp and (p not in comp or comp not in roots[s - 1]):
                     return fail("detected_not_root", process=p, round=r,

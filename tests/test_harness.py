@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconsensus import (
+    ExpanderConfig,
     GraphSequence,
     RoundGraph,
     Scenario,
@@ -18,6 +19,7 @@ from dynconsensus import (
     check_termination_bound,
     check_validity,
     detected_component,
+    gen_expander,
     gen_rotating_roots,
     gen_stable_window,
     gen_static_line,
@@ -234,6 +236,27 @@ class TestCheckers:
         assert verdict.witness == {
             "rule": "width", "process": 0, "round": 6, "width": 16,
             "expected": 9,
+        }
+        assert verdict == _reference_check_approx_invariants(trace)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_approx_slice_witness_in_multiword_slots(self, prune):
+        # n = 16 gives 256-bit slots, so a slot spans several machine words
+        # and the witness is read off the XOR of the packed ints.
+        sc = gen_expander(ExpanderConfig(n=16, root_size=4, degree=4),
+                          seed=1, horizon=12)
+        assert sc.d_bound == 3
+        trace = run(sc, prune=prune)
+        state = trace.records[9].approx[5]
+        slices = state.slices
+        top = max(slices)
+        slices[top] &= slices[top] - 1  # clear its lowest set bit
+        trace.records[9].approx[5] = forge(16, 5, state.vertices, slices,
+                                           state.pruned_before)
+        verdict = check_approx_invariants(trace)
+        assert verdict.witness == {
+            "rule": "slice", "process": 5, "round": 10, "slice": 10,
+            "missing": [1, 5],
         }
         assert verdict == _reference_check_approx_invariants(trace)
 
