@@ -13,13 +13,13 @@ are immutable values, so they are snapshotted into messages by reference.
 
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
-(`_strong`, `_allowed_mask`, `_label_text`, `_edge`) are bounded
+(`_strong`, `_allowed_mask`, `_label_text`, `_layout`) are bounded
 module-level caches that every process shares.  The transitions keep a
 state's well-formedness up to date, so validating a received snapshot takes
 a few comparisons, not a pass over its bits.  Edge-major views are for
 reading traces: `ApproxState.edges` transposes one state, and an
 `EdgeCursor` walks one process's states in round order, moving its
-transposition by the slots set in the XOR of consecutive packed ints.
+rank-indexed edge lists by the slots set in the XOR of consecutive states.
 """
 
 from __future__ import annotations
@@ -93,80 +93,75 @@ def _label_text(mask):
     return f"[{', '.join(map(str, _bits(mask)))}]"
 
 
-@lru_cache(maxsize=1 << 16)  # every edge between vertex ids below 256
-def _edge(b):
-    """The edge (u, v) with pair bit b.  Every `EdgeCursor` decodes through
-    it, since the processes of a scenario read the same edges."""
-    return _unpair(b)
+# A trace save reads one width, and the tests cycle through at most 6.  A
+# table of 16,384 ranks (n = 128) holds 1.7 MB, one of 90,601 (n = 301) 10 MB.
+@lru_cache(maxsize=8)
+def _layout(width):
+    """(rank, prefix) for width n*n: `rank[b]` = u*n + v, the rank in sorted
+    order of the edge (u, v) with pair bit b, and `prefix[u*n + v]` its JSON
+    "[u, v, ".  Shell m holds (u, m) for u < m, then (m, v) for v <= m."""
+    n = isqrt(width)
+    rank = []
+    for m in range(n):
+        rank += range(m, m * n, n)
+        rank += range(m * n, m * n + m + 1)
+    return rank, [f"[{u}, {v}, " for u in range(n) for v in range(n)]
 
 
 class EdgeCursor:
     """The slice -> edge transposition of one process's states, read in
-    round order.  Consecutive states differ in a few slices, so moving to
-    the next state costs the changed bits plus one pass over the edges, not
-    a pass over every label bit; any other order is correct, only slower.
-    `masks[b]` is the label mask of the edge with pair bit b, which is
-    `_edge(b)`; `frags[(u, v)]` is the edge's JSON fragment
-    "[u, v, [l1, ..., lk]]" and `order` the sorted list of the edges."""
+    round order: a read costs the bits changed since the last plus one join
+    over the n*n ranks; any other order is correct, only slower.  `masks[j]`
+    is the label mask of the edge of rank j (see `_layout`), `frags[j]` its
+    JSON fragment "[u, v, [l1, ..., lk]]" or None when it is absent, and
+    `text` the held state's edges JSON, so a second read joins nothing."""
 
-    __slots__ = ("state", "masks", "frags", "order")
+    __slots__ = ("state", "masks", "frags", "text")
 
     def __init__(self):
         self.state = None
-        self.masks, self.frags = {}, {}
-        self.order = []
 
     def edges_json(self, state):
         """Exactly `json.dumps(state.sorted_edges())`."""
         if state is not self.state:
             self._move(state)
-        return "[" + ", ".join(map(self.frags.__getitem__, self.order)) + "]"
+        return self.text
 
     def _move(self, state):
         """XOR each slice that changed since the held state into the edge
         masks and re-render only the touched edges.  The two packed ints
         are aligned to the lower cutoff, so a slice below `state`'s that
         the held state still has reads as emptied, and the changed slots
-        are read off their XOR from the top, one bit length each.  Vanished
-        edges are filtered out of `order`; appeared ones are appended and
-        merged in by a sort of the mostly sorted list."""
+        are read off their XOR from the top, one bit length each.  A held
+        state of another width is dropped: the move starts from no
+        edges."""
         width, base = state.width, state.pruned_before
-        a, b = 0, state.packed
-        if self.state is not None:
-            a = self.state.packed
-            lift = base - self.state.pruned_before
+        held, a, b = self.state, 0, state.packed
+        if held is None or held.width != width:
+            self.masks, self.frags = [0] * width, [None] * width
+        else:
+            a = held.packed
+            lift = base - held.pruned_before
             if lift > 0:
                 b <<= lift * width
                 base -= lift
             elif lift < 0:
                 a <<= -lift * width
-        diff, masks, touched = a ^ b, self.masks, {}
+        rank, prefix = _layout(width)
+        diff, masks, frags, touched = a ^ b, self.masks, self.frags, set()
         while diff:
             k = (diff.bit_length() - 1) // width
             flips = diff >> k * width  # slot k's changed bits, the top left
             diff ^= flips << k * width
             label = 1 << base + k
-            for bit in _set_bits(flips):
-                before = masks.get(bit, 0)
-                touched.setdefault(bit, before)
-                masks[bit] = before ^ label
-        frags, order, vanished, appeared = self.frags, self.order, False, []
-        for b, before in touched.items():
-            e = _edge(b)
-            m = masks[b]
-            if not m:
-                del masks[b], frags[e]
-                vanished = True
-                continue
-            if not before:
-                appeared.append(e)
-            frags[e] = f"[{e[0]}, {e[1]}, {_label_text(m)}]"
-        if vanished:
-            order = [e for e in order if e in frags]
-        if appeared:
-            order += appeared
-            order.sort()
-        self.order = order
+            for i in _set_bits(flips):
+                j = rank[i]
+                masks[j] ^= label
+                touched.add(j)
+        for j in touched:
+            m = masks[j]
+            frags[j] = prefix[j] + _label_text(m) + "]" if m else None
+        self.text = "[" + ", ".join(filter(None, frags)) + "]"
         self.state = state
 
 

@@ -160,11 +160,16 @@ def trace_save(trace, path):
 
     A round line's `delivered` (each receiver's ascending senders) comes from
     the round graph through `_senders`, as the engine's deliveries do, and
-    its `approx` digests from the recorded states, one `EdgeCursor` per
-    process moving forward through that process's states by the slices
-    that changed."""
+    its `approx` digests from the recorded states.  Those are computed one
+    process at a time, before any line is written: one `EdgeCursor` moves
+    forward through that process's states of every round by the slices
+    that changed, and only the 16-character digests are kept."""
     sc = trace.scenario
-    cursors = [ap.EdgeCursor() for _ in range(sc.n)]
+    digests = []  # [p][r - 1]
+    for p in range(sc.n):
+        cursor = ap.EdgeCursor()
+        digests.append([approx_digest(rec.approx[p], cursor)
+                        for rec in trace.records])
     with open(path, "w") as fh:
         header = {
             "scenario_digest": scenario_digest(sc),
@@ -186,10 +191,7 @@ def trace_save(trace, path):
                     str(p): {f"[{a},{b}]": v for (a, b), v in log.items()}
                     for p, log in rec.predicate_evals.items()
                 },
-                "approx": {
-                    str(p): approx_digest(st, cursors[p])
-                    for p, st in enumerate(rec.approx)
-                },
+                "approx": {str(p): digests[p][r - 1] for p in range(sc.n)},
                 "cons": {
                     str(p): {
                         "x": st.x,

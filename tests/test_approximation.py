@@ -763,7 +763,8 @@ def lineage_reads(draw):
     r <= 10 random round graphs, optionally pruned to a random window, and
     random indices into it, with repeats, that interleave the lineages.  In
     a third of the chains the ids are distinct draws up to 300, so edges
-    often join ids past 256, the bound of the `_edge` cache."""
+    often join ids past 256 and the cursor reads them through a rank table
+    of 90,601 entries, `_layout` at its largest width in the tests."""
     n = draw(st.integers(2, 6))
     horizon = draw(st.integers(1, 10))
     window = draw(st.none() | st.integers(0, 4))
@@ -821,10 +822,10 @@ def _assert_views_match_reference(state, cursor):
 def test_lineage_cursor_matches_reference(case):
     # Each owner's states are read through that owner's own cursor, which
     # must diff from whatever state it holds, while the cursors share
-    # `_label_text`.  After the random reads every state is read forward,
-    # backward and forward again: going back to the edgeless first states
-    # makes every edge vanish from its cursor's order, and going forward
-    # makes it reappear.
+    # `_label_text` and `_layout`.  After the random reads every state is
+    # read forward, backward and forward again: going back to the edgeless
+    # first states empties every edge of its cursor's lists, and going
+    # forward renders it again.
     chain, reads = case
     cursors = {}
     forward = list(range(len(chain)))
@@ -850,3 +851,17 @@ def test_cursor_reads_forged_mid_chain_state():
     cursor = EdgeCursor()
     for state in lineage:
         _assert_views_match_reference(state, cursor)
+
+
+def test_cursor_restarts_on_a_width_change():
+    # A process's states in a run on 3, then the same slices forged into the
+    # slots of a run on 5 and back: a held state of another width must not
+    # be diffed against, since its slots sit at other bit offsets.
+    ring = {(0, 1), (1, 2), (2, 0)}
+    lineage = _engine_chain(3, [ring, {(0, 1)}, ring, ring], 2)[1::3]
+    wider = [forge(5, s.owner, s.vertices, s.slices, s.pruned_before)
+             for s in lineage]
+    assert [s.width for s in wider] == [25] * len(lineage)
+    cursor = EdgeCursor()
+    for state in lineage[:3] + wider + lineage[2:] + wider[::-1]:
+        assert cursor.edges_json(state) == json.dumps(state.sorted_edges())

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 from math import isqrt
 from unittest import mock
@@ -473,6 +474,43 @@ class TestTraceFile:
             trace_save(trace, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
+    @pytest.mark.parametrize("make", [
+        # r_ST past 4D + 1, so pruning cuts slices before the window.
+        lambda: gen_stable_window(seed=4, n=5, d_bound=2, r_st=12),
+        lambda: gen_stable_window(seed=5, n=7, d_bound=3, r_st=15),
+        lambda: gen_stable_window(seed=6, n=6, d_bound=2, r_st=10),
+        # 256-bit slots, D = 3: pruning starts at round 13.
+        lambda: gen_expander(ExpanderConfig(n=16, root_size=4, degree=4),
+                             seed=1, horizon=20),
+    ], ids=["sw5", "sw7", "sw6", "expander16"])
+    def test_approx_digest_hashes_each_recorded_state(self, tmp_path, make,
+                                                      prune):
+        # Every round line's approx[p] is the digest of records[r - 1]'s
+        # state of p, recomputed from `sorted_edges` without the cursor: a
+        # save that renders a state wrongly, or assembles the digests with
+        # rounds or processes swapped, changes a line.
+        trace = run(make(), prune=prune)
+        run_checkers(trace)
+        path = tmp_path / "trace.jsonl"
+        trace_save(trace, path)
+        lines = [json.loads(l) for l in path.read_text().splitlines()][1:-1]
+        assert len(lines) == len(trace.records)
+        if prune:
+            assert trace.records[-1].approx[0].pruned_before > 0
+        for r, line in enumerate(lines, start=1):
+            assert line["round"] == r
+            want = {}
+            for p, state in enumerate(trace.records[r - 1].approx):
+                payload = json.dumps({
+                    "edges": state.sorted_edges(),
+                    "owner": state.owner,
+                    "pruned_before": state.pruned_before,
+                    "vertices": sorted(state.vertices),
+                }, sort_keys=True)
+                want[str(p)] = hashlib.sha256(payload.encode()).hexdigest()[:16]
+            assert line["approx"] == want
 
 
 class TestBatch:
