@@ -119,6 +119,7 @@ def scenario_from_dict(data):
     if not isinstance(data["meta"], dict):
         raise ScenarioParseError("field meta must be an object")
     graphs = []
+    shared = {}  # one RoundGraph per distinct edge set: O(n) masks each
     for i, edges in enumerate(rounds, start=1):
         if not isinstance(edges, list):
             raise ScenarioParseError(f"rounds[{i}]: edge set must be a list")
@@ -127,11 +128,14 @@ def scenario_from_dict(data):
         if not all(_is_int(p) and _is_int(q) for p, q in edges):
             raise ScenarioParseError(
                 f"rounds[{i}]: edge endpoints must be integers")
-        try:
-            graph = RoundGraph(n, edges)
-        except ValueError as exc:
-            raise ScenarioParseError(f"rounds[{i}]: {exc}") from exc
-        if len(graph.edges) != len(edges):  # name the first repeat
+        key = frozenset(map(tuple, edges))
+        graph = shared.get(key)
+        if graph is None:
+            try:
+                graph = shared[key] = RoundGraph(n, edges)
+            except ValueError as exc:
+                raise ScenarioParseError(f"rounds[{i}]: {exc}") from exc
+        if len(key) != len(edges):  # name the first repeat
             seen = set()
             for u, v in edges:
                 if (u, v) in seen:

@@ -50,14 +50,15 @@ class RoundGraph:
             raise ValueError("n must be >= 1")
         self.n = n
         self.edges = frozenset((int(p), int(q)) for p, q in edges)
-        self._out_masks, self._in_masks = [0] * n, [0] * n
+        out, inn = [0] * n, [0] * n
         for p, q in self.edges:
             if p == q:
                 raise ValueError(f"self-loop {p}->{q}")
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"edge {p}->{q} out of range for n={n}")
-            self._out_masks[p] |= 1 << q
-            self._in_masks[q] |= 1 << p
+            out[p] |= 1 << q
+            inn[q] |= 1 << p
+        self._out_masks, self._in_masks = tuple(out), tuple(inn)
 
     def out_masks(self):
         return self._out_masks
@@ -127,7 +128,8 @@ class StabilityReport:
     assumption-clause violations, the root components of every round
     (roots[r - 1] is root_components of round r), and the maximal
     single-root vertex-stable intervals longer than D that are D-bounded,
-    as (a, b, members)."""
+    as (a, b, members).  Its unbounded intervals are the minimal ones,
+    (x, x + D - 1) ascending: every other one contains one of them."""
 
     r_st: int | None
     multi_root_rounds: list = field(default_factory=list)
@@ -250,33 +252,23 @@ def round_diameter(seq, x, sources, targets=None, max_steps=None):
     return worst
 
 
-def _interval_diameters(per_round, lo, b):
-    """Yield (a, D([a, b])) for a = b, b - 1, ..., lo in one leftward pass.
-
-    D([a, b]) is the largest per-round diameter of a round x in [a, b] whose
-    propagation completes by round b, or INFINITY if none does.
-    """
-    best = 0
-    for a in range(b, lo - 1, -1):
-        v = per_round[a]
-        if a + v - 1 <= b and v > best:
-            best = v
-        yield a, best or INFINITY
-
-
 def _interval_diameter(per_round, a, b):
-    """D([a, b]): the last value of the leftward pass."""
-    *_, (_, diameter) = _interval_diameters(per_round, a, b)
-    return diameter
+    """D([a, b]): the largest per-round diameter of a round x in [a, b] whose
+    propagation completes by round b, or INFINITY if none does."""
+    return max(
+        (per_round[x] for x in range(a, b + 1) if x + per_round[x] - 1 <= b),
+        default=INFINITY,
+    )
 
 
-def _is_d_bounded(per_round, a, b, diameter, d_bound):
-    """The D-bounded rule for a vertex-stable component over [a, b] with
-    interval diameter `diameter`: at most D, and propagation starting at
-    round b - D + 1, which must lie inside the interval, completes within D
+def _is_d_bounded(per_round, a, b, d_bound):
+    """The D-bounded rule for a vertex-stable component over [a, b]: the
+    interval diameter is at most D, and propagation starting at round
+    b - D + 1, which must lie inside the interval, completes within D
     rounds as well."""
     x0 = b - d_bound + 1
-    return diameter <= d_bound and x0 >= a and per_round[x0] <= d_bound
+    return (x0 >= a and per_round[x0] <= d_bound
+            and _interval_diameter(per_round, a, b) <= d_bound)
 
 
 def scc_causal_diameter(seq, interval, members):
@@ -349,8 +341,8 @@ def check_d_bounded(seq, interval, members, d_bound):
     late-start diameter at round s - D + 1 both at most D."""
     if d_bound < 1:
         raise ValueError("D must be >= 1")
-    per_round, diameter = scc_causal_diameter(seq, interval, members)
-    return _is_d_bounded(per_round, *interval, diameter, d_bound)
+    per_round, _ = scc_causal_diameter(seq, interval, members)
+    return _is_d_bounded(per_round, *interval, d_bound)
 
 
 def find_r_st(seq, d_bound):
@@ -362,7 +354,8 @@ def find_r_st(seq, d_bound):
     component (4D + 2 rounds, the minimum satisfying d > 4D).  Violations of
     the single-root clause and of "every stable root interval of length >= D
     is D-bounded" are reported as fields, not errors.  Every round is
-    decomposed into root components exactly once.
+    decomposed into root components exactly once, and each single-root run
+    is checked in passes linear in its length (O(D) per window start).
     """
     if d_bound < 1:
         raise ValueError("D must be >= 1")
@@ -386,20 +379,20 @@ def find_r_st(seq, d_bound):
             x: round_diameter(seq, x, members, max_steps=b0 - x + 1)
             for x in range(a0, b0 + 1)
         }
-        # Every sub-interval [a, b] of length >= D, for a fixed end b with
-        # the start extended leftwards: the global clause needs all of them
-        # D-bounded, the window search the earliest bounded one of length
-        # window_len, and the checkers the whole run when longer than D.
-        for b in range(a0 + d_bound - 1, b0 + 1):
-            for a, diameter in _interval_diameters(per_round, a0, b):
-                length = b - a + 1
-                if length < d_bound:
-                    continue
-                if not _is_d_bounded(per_round, a, b, diameter, d_bound):
-                    report.unbounded_intervals.append((a, b))
-                    continue
-                if length == window_len and report.r_st is None:
-                    report.r_st = a
-                if (a, b) == (a0, b0) and length > d_bound:
-                    report.d_bounded_intervals.append((a0, b0, members))
+        # [x, x + D - 1] is not D-bounded iff per_round[x] > D.  If no x in
+        # [a, b - D + 1] has that, round b - D + 1 and every other round
+        # completing by b have diameters <= D, so [a, b] is D-bounded: these
+        # are the minimal intervals that are not, and the rest contain one.
+        report.unbounded_intervals += [
+            (x, x + d_bound - 1)
+            for x in range(a0, b0 - d_bound + 2)
+            if per_round[x] > d_bound
+        ]
+        if report.r_st is None:
+            report.r_st = next((
+                a for a in range(a0, b0 - window_len + 2)
+                if _is_d_bounded(per_round, a, a + window_len - 1, d_bound)
+            ), None)
+        if b0 - a0 + 1 > d_bound and _is_d_bounded(per_round, a0, b0, d_bound):
+            report.d_bounded_intervals.append((a0, b0, members))
     return report

@@ -277,6 +277,26 @@ class TestScenarioFormat:
             meta = scenario_load(path).meta
             assert key in meta and meta == sc.meta
 
+    def test_equal_rounds_share_one_graph(self, tmp_path):
+        # 2,000 empty rounds on 2,000 processes, a 10 KB file, load into
+        # one graph, not 2,000 with a pair of 2,000-entry masks each.
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({
+            "n": 2000, "D": 1, "horizon": 2000, "inputs": [0] * 2000,
+            "rounds": [[]] * 2000, "meta": {},
+        }))
+        rounds = scenario_load(empty).seq.rounds
+        assert len(rounds) == 2000
+        assert all(g is rounds[0] for g in rounds)
+
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps({
+            "n": 2, "D": 1, "horizon": 3, "inputs": [0, 1],
+            "rounds": [[[0, 1]], [[1, 0]], [[0, 1]]], "meta": {},
+        }))
+        a, b, c = scenario_load(mixed).seq.rounds
+        assert a is c and a != b
+
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -331,6 +351,10 @@ class TestScenarioFormat:
              r"^rounds\[1\]: duplicate edge 0->1$"),
             ("rounds", [[[0, 1]], [[1, 0], [0, 1], [1, 0]]],
              r"^rounds\[2\]: duplicate edge 1->0$"),
+            # A round whose edge set an earlier round already has is
+            # checked for repeats on its own.
+            ("rounds", [[[0, 1]], [[0, 1], [0, 1]]],
+             r"^rounds\[2\]: duplicate edge 0->1$"),
         ]:
             typed = tmp_path / "typed.json"
             typed.write_text(json.dumps({**good, key: value}))

@@ -47,6 +47,20 @@ def test_run_two_roots_fails_agreement(tmp_path, capsys):
     assert len(witness["values"]) == 2
 
 
+def test_generate_prints_minimal_unbounded_intervals(tmp_path, capsys):
+    # One ring round per entry: the intervals (x, x + D - 1) that are not
+    # D-bounded, not every failing sub-interval of the ring run.
+    code = main([
+        "generate", "--gen", "complete_then_rings", "--horizon", "6",
+        "--out", str(tmp_path / "rings.json"),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "assumption_holds=False" in out.splitlines()
+    assert ("unbounded_intervals=[(2, 2), (3, 3), (4, 4), (5, 5), (6, 6)]"
+            in out.splitlines())
+
+
 def test_missing_scenario_is_usage_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "nope.json")])
     capsys.readouterr()

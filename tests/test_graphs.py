@@ -19,6 +19,7 @@ from dynconsensus import (
     scc_decompose,
     vertex_stable_intervals,
 )
+from dynconsensus.graphs import round_diameter
 
 # The 5-node figure graph: 0<->1, 1->2, 3->0, 3->4, 4->1.
 FIG_EDGES = [(0, 1), (1, 0), (1, 2), (3, 0), (3, 4), (4, 1)]
@@ -285,6 +286,9 @@ class TestNetworkCausalDiameter:
     def test_static_line(self):
         seq = static(5, line_edges(5), 5)
         assert network_causal_diameter(seq, (1, 5)) == 4
+        # Round 1's chain completes in the interval's last round, and counts.
+        assert network_causal_diameter(seq, (1, 4)) == 4
+        assert network_causal_diameter(seq, (1, 3)) == INFINITY
 
     def test_static_star(self):
         seq = static(4, [(0, 1), (0, 2), (0, 3)], 5)
@@ -399,3 +403,127 @@ class TestFindRSt:
     def test_horizon_too_short_for_window(self):
         seq = static(3, cycle_edges(3), 5)
         assert find_r_st(seq, 2).r_st is None
+
+
+def reference_find_r_st(seq, d_bound):
+    """The quadratic search find_r_st once made: every sub-interval of length
+    D or more of every single-root stable run, checked one by one with the
+    start extended leftwards from each end.  Returns (r_st,
+    multi_root_rounds, unbounded_intervals, d_bounded_intervals), the
+    unbounded list holding every sub-interval that is not D-bounded."""
+    window_len = 4 * d_bound + 2
+    r_st, multi, unbounded, bounded = None, [], [], []
+    for a0, b0, members in vertex_stable_intervals(seq):
+        if members is None:
+            multi.extend(range(a0, b0 + 1))
+            continue
+        if b0 - a0 + 1 < d_bound:
+            continue
+        per_round = {
+            x: round_diameter(seq, x, members, max_steps=b0 - x + 1)
+            for x in range(a0, b0 + 1)
+        }
+        for b in range(a0 + d_bound - 1, b0 + 1):
+            best = 0
+            for a in range(b, a0 - 1, -1):
+                v = per_round[a]
+                if a + v - 1 <= b and v > best:
+                    best = v
+                length = b - a + 1
+                if length < d_bound:
+                    continue
+                diameter = best or INFINITY
+                if diameter > d_bound or per_round[b - d_bound + 1] > d_bound:
+                    unbounded.append((a, b))
+                    continue
+                if length == window_len and r_st is None:
+                    r_st = a
+                if (a, b) == (a0, b0) and length > d_bound:
+                    bounded.append((a0, b0, members))
+    return r_st, multi, unbounded, bounded
+
+
+def minimal_intervals(intervals):
+    """The intervals of the list that contain no other one, ascending."""
+    first_end = {}
+    for a, b in intervals:
+        first_end[a] = min(b, first_end.get(a, b))
+    return sorted(
+        (a, b)
+        for a, b in set(intervals)
+        if first_end[a] == b
+        and all(first_end.get(x, b + 1) > b for x in range(a + 1, b + 1))
+    )
+
+
+def sticky_sequence(rng):
+    """n in 3..7, D in 1..min(3, n - 1), T in 10..40 rounds, each repeating
+    the previous one with probability 0.85 and otherwise a fresh p = 0.3
+    digraph with a single root component."""
+    n = rng.randint(3, 7)
+    d_bound = rng.randint(1, min(3, n - 1))
+    rounds = []
+    for _ in range(rng.randint(10, 40)):
+        if rounds and rng.random() < 0.85:
+            rounds.append(rounds[-1])
+            continue
+        while True:
+            g = RoundGraph(n, [
+                (p, q)
+                for p in range(n)
+                for q in range(n)
+                if p != q and rng.random() < 0.3
+            ])
+            if len(root_components(g)) == 1:
+                break
+        rounds.append(g)
+    return GraphSequence(n, rounds), d_bound
+
+
+class TestFindRStReference:
+    def test_matches_the_quadratic_search(self):
+        # Every fact equals the one-by-one search, except that only the
+        # minimal intervals that are not D-bounded are kept.
+        from dynconsensus import (
+            ExpanderConfig, gen_complete_then_rings, gen_expander,
+            gen_reversing_line, gen_rotating_roots, gen_short_window,
+            gen_stable_window, gen_static_line, gen_static_star,
+            gen_two_roots,
+        )
+
+        rng = random.Random("find-r-st-reference")
+        cases = [sticky_sequence(rng) for _ in range(1000)]
+        family = [
+            gen_stable_window(seed=3, n=6, d_bound=2, r_st=4),
+            gen_rotating_roots(seed=3, n=5, d_bound=2, horizon=30),
+            gen_static_line(5, 30),
+            gen_static_star(4, 20),
+            gen_reversing_line(5, 3, 20),
+            gen_two_roots(2, 2, 20),
+            gen_short_window(6, 2, horizon=12, r_st=3),
+            gen_expander(ExpanderConfig(n=16, root_size=4), 1, 16),
+        ] + [gen_complete_then_rings(h) for h in range(2, 30)]
+        cases += [(sc.seq, sc.d_bound) for sc in family]
+        violating = found = 0
+        for seq, d_bound in cases:
+            r_st, multi, unbounded, bounded = reference_find_r_st(seq, d_bound)
+            report = find_r_st(seq, d_bound)
+            assert report.r_st == r_st
+            assert report.multi_root_rounds == multi
+            assert report.d_bounded_intervals == bounded
+            assert report.unbounded_intervals == minimal_intervals(unbounded)
+            assert report.assumption_holds == (
+                r_st is not None and not multi and not unbounded
+            )
+            violating += bool(unbounded)
+            found += r_st is not None
+        assert violating >= 500 and found >= 100
+
+    def test_complete_then_rings_list_is_linear(self):
+        # One entry per ring round (D = 1); the quadratic search kept all
+        # 2,000,999 failing sub-intervals of the ring run.
+        from dynconsensus import gen_complete_then_rings
+
+        unbounded = gen_complete_then_rings(2000).facts.unbounded_intervals
+        assert len(unbounded) <= 2000
+        assert unbounded == [(x, x) for x in range(2, 2001)]
