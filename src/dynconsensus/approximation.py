@@ -15,11 +15,16 @@ Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
 (`_strong`, `_allowed_mask`, `_label_text`, `_layout`) are bounded
 module-level caches that every process shares.  The transitions keep a
-state's well-formedness up to date, so validating a received snapshot takes
-a few comparisons, not a pass over its bits.  Edge-major views are for
-reading traces: `ApproxState.edges` transposes one state, and an
-`EdgeCursor` walks one process's states in round order, moving its
-rank-indexed edge lists by the slots set in the XOR of consecutive states.
+state's well-formedness up to date, so a received snapshot is validated by
+four comparisons inline in `approx_absorb`, not a pass over its bits; only
+a snapshot that fails one goes through `_validate_snapshot`'s full check.
+The component rule (an empty slice detects the owner, else the strongly
+connected set counts only if it holds the owner) is `_component`, which
+both `detected_component` and the one-pass `in_stable_root` call.
+Edge-major views are for reading traces: `ApproxState.edges` transposes
+one state, and an `EdgeCursor` walks one process's states in round order,
+moving its rank-indexed edge lists by the slots set in the XOR of
+consecutive states.
 """
 
 from __future__ import annotations
@@ -93,8 +98,11 @@ def _label_text(mask):
     return f"[{', '.join(map(str, _bits(mask)))}]"
 
 
-# A trace save reads one width, and the tests cycle through at most 6.  A
-# table of 16,384 ranks (n = 128) holds 1.7 MB, one of 90,601 (n = 301) 10 MB.
+# A table of 16,384 ranks (n = 128) holds 1.7 MB, one of 90,601 (n = 301)
+# 10 MB.  A trace save reads one width, but the acceptance-1 batch cycles
+# n = 3..16, 14 widths, through the 8 entries, so each of its saves
+# rebuilds its table: 30-130 us on a 2-vCPU VM, 2.7 ms in a pass of its 84
+# scenarios, about 0.15% of the pass.  Not worth a larger cache.
 @lru_cache(maxsize=8)
 def _layout(width):
     """(rank, prefix) for width n*n: `rank[b]` = u*n + v, the rank in sorted
@@ -245,30 +253,26 @@ def approx_emit(state):
 
 
 def _validate_snapshot(msg, r, width):
-    """Raise `MalformedMessageError` unless `msg` is a well-formed round-r
-    snapshot for a receiver with `width`-bit slots, checking, in this
-    order: the width, the owner, the labels of the nonempty slices within
-    [1, r - 1], every vertex within [0, n) for width n*n, and every edge
-    between two distinct vertices of the snapshot.  The vertex range keeps
-    every edge, the receiver's direct in-edge from the sender included,
-    inside its slot.  The lowest and highest label come from the lowest and
-    highest set bit, and the edges from one AND per slot with the cached
-    allowed-edge mask.  A state known to be well formed needs only the
-    width, the sender and its highest label; any other message is checked
-    in full, and a state that passes is known well formed."""
+    """The full check of a round-r snapshot for a receiver with `width`-bit
+    slots, for a message that failed `approx_absorb`'s fast path.  Raise
+    `MalformedMessageError` unless the snapshot passes, in this order: the
+    width, the owner, the labels of the nonempty slices within [1, r - 1],
+    every vertex within [0, n) for width n*n, and every edge between two
+    distinct vertices of the snapshot.  The vertex range keeps every edge,
+    the receiver's direct in-edge from the sender included, inside its
+    slot.  The lowest and highest label come from the lowest and highest
+    set bit, and the edges from one AND per slot with the cached
+    allowed-edge mask.  A state that passes is known well formed."""
     g = msg.graph
     if g.width != width:
         raise MalformedMessageError(
             f"snapshot from {msg.sender} has {g.width}-bit slots, not {width}")
-    packed, base = g.packed, g.pruned_before
-    top = base + (packed.bit_length() - 1) // width  # base - 1 if none
-    if g._ok and top < r and msg.sender == g.owner:
-        return
     if msg.sender != g.owner or g.owner not in g.vertices:
         raise MalformedMessageError(
             f"snapshot owner mismatch from {msg.sender}")
+    packed, base = g.packed, g.pruned_before
     if packed and (base + ((packed & -packed).bit_length() - 1) // width < 1
-                   or top >= r):
+                   or base + (packed.bit_length() - 1) // width >= r):
         raise MalformedMessageError(
             f"snapshot from {msg.sender} carries labels outside [1, {r - 1}]")
     n = isqrt(width)
@@ -289,26 +293,30 @@ def _validate_snapshot(msg, r, width):
 def approx_absorb(state, r, received):
     """Round-r update: record direct in-edges with label r, then take the
     label-set union with every received snapshot: one OR each, the
-    snapshot's slots moved to the receiver's cutoff.  Every snapshot must
-    have the receiver's width (`_validate_snapshot`).  Monotone above that
-    cutoff: labels below it, whether a sender's or r itself, are not
-    taken.  A well-formed state stays so, unless a sender is the owner (a
-    self-loop)."""
+    snapshot's slots moved to the receiver's cutoff.  A snapshot is known
+    good, and taken as it is, when it has the receiver's width, its sender
+    is its owner, it is known well formed (`_ok`) and its highest label is
+    below r; any other is checked in full by `_validate_snapshot`.
+    Monotone above that cutoff: labels below it, whether a sender's or r
+    itself, are not taken.  A well-formed state stays so, unless a sender
+    is the owner (a self-loop)."""
     if not received:
         return state
     owner, base, vertices = state.owner, state.pruned_before, state.vertices
     packed, width = state.packed, state.width
     ok, direct = state._ok and r >= 1, 0
     for msg in received:
-        _validate_snapshot(msg, r, width)
-        g = msg.graph
-        if msg.sender == owner:
+        g, sender = msg.graph, msg.sender
+        m, g_base = g.packed, g.pruned_before
+        if not (g.width == width and sender == g.owner and g._ok
+                and g_base + (m.bit_length() - 1) // width < r):
+            _validate_snapshot(msg, r, width)
+        if sender == owner:
             ok = False
-        direct |= 1 << _pair(msg.sender, owner)
+        direct |= 1 << _pair(sender, owner)
         if not g.vertices <= vertices:
             vertices = vertices | g.vertices
-        m = g.packed
-        shift = (g.pruned_before - base) * width
+        shift = (g_base - base) * width
         if shift:  # a shift by 0 would still copy the int
             m = m << shift if shift > 0 else m >> -shift
         packed |= m
@@ -403,35 +411,56 @@ def _strong(m):
     return frozenset(_bits(vmask))
 
 
+def _component(owner, m):
+    """The component that the owner detects in a slice with edge bits m:
+    the owner alone if the slice is empty, else the slice's strongly
+    connected vertex set if it holds the owner, else empty."""
+    if not m:
+        return frozenset((owner,))
+    comp = _strong(m)
+    return comp if owner in comp else frozenset()
+
+
 def detected_component(state, s):
     """C_p|s: the vertex set of A_p|s if strongly connected, else empty.
 
     An edgeless slice detects the owner alone; a slice with edges detects
-    its strongly connected vertex set only if that holds the owner.  Slices
-    older than the pruning cutoff report empty (no data).
+    its strongly connected vertex set only if that holds the owner
+    (`_component`).  Slices older than the pruning cutoff report empty (no
+    data).
     """
     if s < 1:
         raise ValueError("rounds are 1-based")
-    if s < state.pruned_before:
+    k = s - state.pruned_before
+    if k < 0:
         return frozenset()
-    m = _slot(state, s)
-    if not m:
-        return frozenset((state.owner,))
-    comp = _strong(m)
-    return comp if state.owner in comp else frozenset()
+    width = state.width
+    m = state.packed >> k * width & (1 << width) - 1
+    return _component(state.owner, m)
 
 
 def in_stable_root(state, interval, current_round):
     """True iff all detected components over the interval are equal and
-    nonempty; rounds outside [1, current_round) make it false."""
+    nonempty; rounds outside [1, current_round) make it false, and so does
+    a start below the pruning cutoff, whose slice reports empty.  One pass:
+    `packed` is shifted to slice a, then by one slot per step through b,
+    and each slot, read off the low bits, goes to `_component`, the rule
+    that `detected_component` applies."""
     a, b = interval
     if a < 1 or b >= current_round or a > b:
         return False
-    first = detected_component(state, a)
+    k = a - state.pruned_before
+    if k < 0:
+        return False
+    owner, width = state.owner, state.width
+    mask = (1 << width) - 1
+    packed = state.packed >> k * width
+    first = _component(owner, packed & mask)
     if not first:
         return False
-    for s in range(a + 1, b + 1):
-        if detected_component(state, s) != first:
+    for _ in range(b - a):
+        packed >>= width
+        if _component(owner, packed & mask) != first:
             return False
     return True
 

@@ -41,6 +41,10 @@ class RoundGraph:
 
     Simple directed graph, no self-loops.  Immutable, with its adjacency
     bitmasks built once: bit q of out_masks()[p] and bit p of in_masks()[q].
+    Endpoints are ints in [0, n), given as pairs of any sequence type: a
+    self-loop or an endpoint outside the range raises ValueError, and the
+    types are not checked, since the generators build ints and
+    `scenario_from_dict` type-checks file input first.
     """
 
     __slots__ = ("n", "edges", "_out_masks", "_in_masks")
@@ -49,7 +53,7 @@ class RoundGraph:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        self.edges = frozenset((int(p), int(q)) for p, q in edges)
+        self.edges = frozenset(map(tuple, edges))
         out, inn = [0] * n, [0] * n
         for p, q in self.edges:
             if p == q:

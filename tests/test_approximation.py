@@ -97,10 +97,16 @@ def test_malformed_snapshots_rejected():
     def snapshot(vertices, edges):
         return approx_emit(forge(N, 1, vertices, edges=edges))
 
-    # One case per validation rule, each breaking that rule alone.
+    # One case per validation rule, each breaking that rule alone.  The
+    # first three are states known well formed, each failing one clause of
+    # absorb's fast path (width, sender, highest label), so each must
+    # reach the full check.
+    heard = approx_absorb(approx_init(1, N), 2,
+                          [approx_emit(approx_init(0, N))])
     cases = [
         (approx_emit(approx_init(1, N + 1)), "169-bit slots, not 144"),
         (ApproxMessage(sender=2, graph=approx_init(1, N)), "owner mismatch"),
+        (approx_emit(heard), r"labels outside \[1, 1\]"),
         (approx_emit(replace(approx_init(1, N), vertices={1, N})),
          r"vertex 12 outside \[0, 11\]"),
         (snapshot({1}, {(1, 1): 1 << 1}), "self-loop"),
@@ -108,6 +114,7 @@ def test_malformed_snapshots_rejected():
         (snapshot({0, 1}, {(0, 1): 1 << 5}), "outside"),  # future label
         (snapshot({0, 1}, {(0, 1): 1}), "outside"),  # label 0
     ]
+    assert all(msg.graph._ok for msg, _ in cases[:3])
     for msg, rule in cases:
         with pytest.raises(MalformedMessageError, match=rule):
             approx_absorb(approx_init(0, N), 2, [msg])
@@ -514,6 +521,11 @@ def test_in_stable_root_round_bounds():
     assert not in_stable_root(state, (2, 5), 5)  # round 5 not finished
     assert not in_stable_root(state, (3, 2), 5)  # empty interval
     assert in_stable_root(state, (1, 4), 5)  # singleton detections agree
+    # Slices 1 to 4 are the cycle 0 <-> 1; pruned, slice 1 has no data.
+    cycle = forge(N, 0, {0, 1}, edges={(0, 1): 0b11110, (1, 0): 0b11110})
+    assert in_stable_root(cycle, (1, 4), 5)
+    assert not in_stable_root(approx_prune(cycle, 2), (1, 4), 5)
+    assert in_stable_root(approx_prune(cycle, 2), (2, 4), 5)
 
 
 def test_in_stable_root_requires_equal_components():
@@ -521,6 +533,61 @@ def test_in_stable_root_requires_equal_components():
     state = forge(N, 0, {0, 1}, edges={(1, 0): 1 << 2})
     assert in_stable_root(state, (1, 1), 3)
     assert not in_stable_root(state, (1, 2), 4)
+
+
+@st.composite
+def stable_root_cases(draw):
+    """(state, interval, round) on 4 processes: the pruning cutoff is 0 to
+    3, and each slice from it (label 1 at the least) through 8 is one of
+    three drawn edge sets, the previous slice's with probability 3/4, so
+    equal detections over several slices occur.  An edge set is empty, a
+    cycle through 2 to 4 vertices, which may or may not hold the owner, or
+    any edges.  Intervals start at 0 to 9, below the cutoff too, and may be
+    empty or end past the round."""
+    n = 4
+    owner = draw(st.integers(0, n - 1))
+    cut = draw(st.integers(0, 3))
+
+    def edge_set():
+        kind = draw(st.sampled_from(["empty", "cycle", "cycle", "any"]))
+        if kind == "empty":
+            return 0
+        if kind == "cycle":
+            ring = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+            edges = zip(ring, ring[1:] + ring[:1])
+        else:
+            edges = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]), max_size=5))
+        return sum(1 << _pair(u, v) for u, v in edges)
+
+    pool = [edge_set() for _ in range(3)]
+    slices, m = {}, draw(st.sampled_from(pool))
+    for s in range(max(cut, 1), 9):
+        if not draw(st.integers(0, 3)):
+            m = draw(st.sampled_from(pool))
+        slices[s] = m
+    vertices = {owner, *(x for bits in slices.values()
+                         for e in _decode(bits) for x in e)}
+    state = forge(n, owner, vertices, slices, cut)
+    a = draw(st.integers(0, 9))
+    return state, (a, a + draw(st.integers(-1, 5))), draw(st.integers(1, 11))
+
+
+@given(stable_root_cases())
+@settings(max_examples=300)
+def test_in_stable_root_matches_its_definition(case):
+    # True iff 1 <= a <= b < r and every slice's detected component over
+    # [a, b] is the same nonempty set; each detection is checked against
+    # the set-based reference too.
+    state, (a, b), r = case
+    ref = _canonical(state)
+    comps = [detected_component(state, s) for s in range(max(a, 1), b + 1)]
+    assert comps == [_reference_detected(ref, s)
+                     for s in range(max(a, 1), b + 1)]
+    stable = 1 <= a <= b < r and bool(comps[0]) and all(
+        c == comps[0] for c in comps)
+    assert in_stable_root(state, (a, b), r) == stable
 
 
 @given(

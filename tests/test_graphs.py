@@ -19,6 +19,7 @@ from dynconsensus import (
     scc_decompose,
     vertex_stable_intervals,
 )
+from dynconsensus.adversary import scenario_from_dict
 from dynconsensus.graphs import round_diameter
 
 # The 5-node figure graph: 0<->1, 1->2, 3->0, 3->4, 4->1.
@@ -53,6 +54,20 @@ class TestRoundGraph:
         # The adjacency masks agree with the edge set.
         assert g.in_masks()[1] == 0b10001
         assert g.out_masks()[3] == 0b10001
+
+    def test_pair_lists_build_the_same_graph(self):
+        # The loader hands a file's [u, v] lists over as they are.
+        lists = RoundGraph(5, [[p, q] for p, q in FIG_EDGES])
+        tuples = RoundGraph(5, FIG_EDGES)
+        assert lists.edges == tuples.edges == frozenset(FIG_EDGES)
+        assert lists.in_masks() == tuples.in_masks()
+        assert lists.out_masks() == tuples.out_masks()
+        assert lists == tuples and hash(lists) == hash(tuples)
+        loaded = scenario_from_dict({
+            "n": 5, "D": 1, "horizon": 1, "inputs": [0] * 5,
+            "rounds": [[[p, q] for p, q in FIG_EDGES]], "meta": {},
+        }).seq.round(1)
+        assert loaded == tuples and hash(loaded) == hash(tuples)
 
     def test_sequence_indexing_is_one_based(self):
         seq = static(3, [(0, 1)], 4)

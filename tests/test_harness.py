@@ -772,11 +772,19 @@ def _over_strong(m):
     return frozenset(x for e in harness.ap._decode(m) for x in e)
 
 
-# Faults of what the protocol computes from A_p, each a function of the
-# slice int or of nothing, as the real one is of the slice int.
+def _owner_blind_component(owner, m):
+    """`_component` that takes a slice's strongly connected vertex set
+    whether or not it holds the owner."""
+    return _real_strong(m) if m else frozenset((owner,))
+
+
+# Faults of what the protocol computes from A_p, each taking the arguments
+# of the function it replaces.  `_component` is shared by the engine's
+# predicate and `detected_component`, so its fault reaches both.
 DETECTION_FAULTS = {
     "over_strong": ("_strong", _over_strong),
     "under_strong": ("_strong", lambda m: frozenset()),
+    "owner_blind": ("_component", _owner_blind_component),
     "never_stable": ("in_stable_root", lambda *args: False),
 }
 
