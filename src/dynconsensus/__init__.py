@@ -32,9 +32,6 @@ from .approximation import (
 )
 from .consensus import (
     ConsensusState,
-    DecideMessage,
-    LockMessage,
-    cons_emit,
     cons_init,
     cons_step,
 )

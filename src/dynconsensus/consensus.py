@@ -24,35 +24,19 @@ class ConsensusState:
         return self.decision is not None
 
 
-@dataclass(frozen=True)
-class LockMessage:
-    """Carries the sender's (lockRound, x) pair."""
-
-    lock_round: int
-    x: int
-
-
-@dataclass(frozen=True)
-class DecideMessage:
-    x: int
-
-
 def cons_init(input_value):
     return ConsensusState(x=int(input_value))
-
-
-def cons_emit(state):
-    if state.decision is not None:
-        return DecideMessage(x=state.x)
-    return LockMessage(lock_round=state.lock_round, x=state.x)
 
 
 def cons_step(state, r, received, predicate, d_bound):
     """One round-r computation step.
 
-    `received` is a list of LockMessage|DecideMessage; `predicate`
-    is a callable interval -> bool evaluating the co-located approximation
-    state's stable-root predicate (already absorbed for round r).
+    `received` is the list of the senders' round-(r - 1) ConsensusStates,
+    which are the round's messages: a sender whose `decision` is set is a
+    DECIDE(x), any other is its (lock_round, x) pair, and no other field
+    of it is read.  `predicate` is a callable interval -> bool evaluating
+    the co-located approximation state's stable-root predicate (already
+    absorbed for round r).
 
     Returns (new_state, events) where events is a list of dicts with a
     "kind" key in {"lock", "unlock", "decide", "conflicting_decides"}.
@@ -68,12 +52,12 @@ def cons_step(state, r, received, predicate, d_bound):
     lock_round, x = state.lock_round, state.x
     low = high = None
     for m in received:
-        if isinstance(m, LockMessage):
+        if m.decision is None:
             if m.lock_round > lock_round or (
                 m.lock_round == lock_round and m.x > x
             ):
                 lock_round, x = m.lock_round, m.x
-        elif isinstance(m, DecideMessage):
+        else:
             v = m.x
             if high is None:
                 low = high = v
@@ -85,9 +69,7 @@ def cons_step(state, r, received, predicate, d_bound):
     if high is not None:
         events = []
         if low != high:
-            values = sorted(
-                m.x for m in received if isinstance(m, DecideMessage)
-            )
+            values = sorted(m.x for m in received if m.decision is not None)
             events.append({"kind": "conflicting_decides", "values": values})
         events.append({"kind": "decide", "value": high, "round": r})
         return replace(state, x=high, decision=(high, r)), events

@@ -93,17 +93,17 @@ def run(scenario, prune=False):
     """Simulate the scenario round by round and record a full trace.
 
     At the start of each round every process emits an approximation snapshot
-    and a consensus message; each receiver gets those of its in-neighbours in
-    the round graph, in ascending sender order; absorb then cons_step run per
-    process.  Deciders keep emitting DECIDE.  An unchanged state object
-    resends its last message.
+    and sends its consensus state as it stood after the previous round; each
+    receiver gets those of its in-neighbours in the round graph, in ascending
+    sender order; absorb then cons_step run per process.  A decided state is
+    read as DECIDE(x) by its receivers, every round from its decision on.
+    An unchanged approximation state resends its last snapshot.
     """
     n = scenario.n
     d = scenario.d_bound
     approx = [ap.approx_init(p, n) for p in range(n)]
     cons = [cs.cons_init(scenario.inputs[p]) for p in range(n)]
     snapshots = [ap.approx_emit(st) for st in approx]
-    messages = [cs.cons_emit(st) for st in cons]
     trace = Trace(scenario=scenario, pruned=prune)
     decisions = trace.decisions
 
@@ -111,7 +111,7 @@ def run(scenario, prune=False):
         in_masks = scenario.seq.round(r).in_masks()
         snapshots = [m if m.graph is st else ap.approx_emit(st)
                      for m, st in zip(snapshots, approx)]
-        sent, messages = messages, list(messages)
+        sent = list(cons)
 
         events = {}
         evals = {}
@@ -130,9 +130,7 @@ def run(scenario, prune=False):
             step, evs = cs.cons_step(
                 cons[p], r, [sent[u] for u in senders], predicate, d
             )
-            if step is not cons[p]:
-                cons[p] = step
-                messages[p] = cs.cons_emit(step)
+            cons[p] = step
             if log:
                 evals[p] = log
             if evs:

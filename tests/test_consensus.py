@@ -2,14 +2,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from dynconsensus import (
-    ConsensusState,
-    DecideMessage,
-    LockMessage,
-    cons_emit,
-    cons_init,
-    cons_step,
-)
+from dynconsensus import ConsensusState, cons_init, cons_step
 
 
 def always(interval):
@@ -25,30 +18,29 @@ def test_init():
                                           decision=None)
 
 
-def test_emit_lock_vs_decide():
-    assert cons_emit(ConsensusState(x=5, locked=True, lock_round=3)) == \
-        LockMessage(lock_round=3, x=5)
-    assert cons_emit(ConsensusState(x=5, decision=(5, 4))) == \
-        DecideMessage(x=5)
-    assert cons_emit(cons_init(9)) == LockMessage(lock_round=0, x=9)
+def decide(x, r=1, locked=False, lock_round=0):
+    """A sender that decided x in round r: a DECIDE(x) message, whatever
+    its lock fields."""
+    return ConsensusState(x=x, locked=locked, lock_round=lock_round,
+                          decision=(x, r))
 
 
 def test_decided_state_is_absorbing():
     state = ConsensusState(x=5, decision=(5, 4))
-    new, events = cons_step(state, 6, [DecideMessage(x=9)], always, 2)
+    new, events = cons_step(state, 6, [decide(9)], always, 2)
     assert new == state and events == []
 
 
 def test_decide_adoption():
     state = cons_init(1)
-    new, events = cons_step(state, 7, [DecideMessage(x=4)], never, 2)
+    new, events = cons_step(state, 7, [decide(4)], never, 2)
     assert new.decided and new.x == 4 and new.decision == (4, 7)
     assert [e["kind"] for e in events] == ["decide"]
 
 
 def test_conflicting_decides_take_max_and_flag():
     state = cons_init(1)
-    received = [DecideMessage(x=4), DecideMessage(x=9)]
+    received = [decide(4), decide(9)]
     new, events = cons_step(state, 5, received, never, 2)
     assert new.x == 9 and new.decided
     kinds = [e["kind"] for e in events]
@@ -58,8 +50,8 @@ def test_conflicting_decides_take_max_and_flag():
 def test_lexicographic_max_update():
     state = ConsensusState(x=5, lock_round=2)
     received = [
-        LockMessage(lock_round=2, x=7),
-        LockMessage(lock_round=1, x=99),  # lockRound dominates
+        ConsensusState(x=7, locked=True, lock_round=2),
+        ConsensusState(x=99, lock_round=1),  # lockRound dominates
     ]
     new, _ = cons_step(state, 3, received, never, 1)
     assert (new.lock_round, new.x) == (2, 7)
@@ -106,13 +98,12 @@ def test_unlock_branch_resets_locked_only():
 
 def reference_step(state, r, received, predicate, d_bound):
     """Reference for `cons_step` in its plain two-pass form: sort the
-    decided values, then scan the locks; always a fresh state."""
+    decided senders' values, then scan the undecided senders' (lock_round,
+    x) pairs; always a fresh state."""
     if state.decided:
         return state, []
     events = []
-    decide_values = sorted(
-        m.x for m in received if isinstance(m, DecideMessage)
-    )
+    decide_values = sorted(m.x for m in received if m.decided)
     if decide_values:
         if decide_values[0] != decide_values[-1]:
             events.append(
@@ -123,7 +114,7 @@ def reference_step(state, r, received, predicate, d_bound):
         return replace(state, x=v, decision=(v, r)), events
     best = (state.lock_round, state.x)
     for m in received:
-        if isinstance(m, LockMessage):
+        if not m.decided:
             pair = (m.lock_round, m.x)
             if pair > best:
                 best = pair
@@ -165,12 +156,18 @@ def steps(draw):
         state = ConsensusState(x=x, locked=draw(st.booleans()),
                                lock_round=draw(lock_rounds),
                                decision=(x, draw(st.integers(1, r))))
-    # Half the lists carry no decide, so the lock path is reached as often
-    # as the decide path.
+    # Senders are states with arbitrary `locked`, and decided senders also
+    # with arbitrary `lock_round`: only (lock_round, x) of an undecided
+    # sender and x of a decided one may be read.  Half the lists carry no
+    # decided sender, so the lock path is reached as often as the decide
+    # path.
     locks = draw(st.lists(
-        st.builds(LockMessage, lock_round=lock_rounds, x=values), max_size=5))
-    decides = draw(st.lists(st.builds(DecideMessage, x=values), max_size=3)
-                   if draw(st.booleans()) else st.just([]))
+        st.builds(ConsensusState, x=values, locked=st.booleans(),
+                  lock_round=lock_rounds), max_size=5))
+    decides = draw(st.lists(
+        st.builds(decide, values, st.integers(1, 10), locked=st.booleans(),
+                  lock_round=lock_rounds), max_size=3)
+        if draw(st.booleans()) else st.just([]))
     received = draw(st.permutations(locks + decides))
     return state, r, received, draw(st.integers(1, 3))
 

@@ -801,6 +801,31 @@ def test_approx_checker_matches_set_reference(trace, fault):
             _reference_check_approx_invariants(trace))
 
 
+@pytest.mark.parametrize("prune", [False, True])
+def test_owner_blind_detection_fails_detected_not_root(prune):
+    # The 2-cycle {0, 1} is the root throughout; from round 2 on it also
+    # feeds process 2, whose round-3 slice 1 then holds the cycle alone.
+    # A component taken whether or not it holds its owner makes process 2
+    # detect {0, 1} there, a component without process 2 in it.
+    cycle = [(0, 1), (1, 0)]
+    sc = Scenario(
+        d_bound=1, inputs=(0, 1, 2),
+        seq=GraphSequence(3, [RoundGraph(3, cycle)]
+                          + [RoundGraph(3, cycle + [(0, 2)])] * 3),
+        meta={},
+    )
+    trace = run(sc, prune=prune)
+    assert check_approx_invariants(trace).status == "pass"
+    with mock.patch.object(harness.ap, *DETECTION_FAULTS["owner_blind"]):
+        verdict = check_approx_invariants(trace)
+        assert verdict == _reference_check_approx_invariants(trace)
+    assert verdict.status == "fail"
+    assert verdict.witness == {
+        "rule": "detected_not_root", "process": 2, "round": 3, "slice": 1,
+        "detected": [0, 1],
+    }
+
+
 @given(short_scenarios())
 @settings(max_examples=200, deadline=None)
 def test_every_state_equals_its_closed_form(sc):
