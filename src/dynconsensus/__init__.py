@@ -23,7 +23,6 @@ from .approximation import (
     ApproxState,
     MalformedMessageError,
     approx_absorb,
-    approx_emit,
     approx_init,
     approx_prune,
     approx_restrict,

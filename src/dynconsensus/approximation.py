@@ -9,7 +9,9 @@ processes has width n*n, fixed by `approx_init`, so merging is one OR per
 received snapshot (its slots moved to the receiver's cutoff), pruning is
 one right shift, and reading a slice is one shift and one mask.  A snapshot
 of another width, or naming a vertex outside [0, n), is refused.  States
-are immutable values, so they are snapshotted into messages by reference.
+are immutable values, so a process sends them by reference: its one
+outbox, an `ApproxMessage` kept for the whole run, is re-pointed at its
+state of each round, and no message is built per round.
 
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
@@ -227,13 +229,20 @@ class ApproxState:
         )
 
 
-@dataclass(frozen=True)
 class ApproxMessage:
-    """A full snapshot of the sender's approximation state.  The graph must
-    not be mutated once it is sent."""
+    """The sender's outbox: a full snapshot of its approximation state.  A
+    process keeps one for the whole run and re-points `graph` at its state
+    of each round, so equality is identity.  The state it points at must
+    not be mutated."""
 
-    sender: int
-    graph: ApproxState
+    __slots__ = ("sender", "graph")
+
+    def __init__(self, sender, graph):
+        self.sender = sender
+        self.graph = graph
+
+    def __repr__(self):
+        return f"ApproxMessage(sender={self.sender}, graph={self.graph!r})"
 
 
 def approx_init(p, n):
@@ -245,11 +254,6 @@ def approx_init(p, n):
     state = ApproxState(p, (p,), 0, 0, n * n)
     state._ok = True
     return state
-
-
-def approx_emit(state):
-    """Snapshot message for the current round; does not mutate the state."""
-    return ApproxMessage(sender=state.owner, graph=state)
 
 
 def _validate_snapshot(msg, r, width):

@@ -92,25 +92,29 @@ def _senders(in_mask):
 def run(scenario, prune=False):
     """Simulate the scenario round by round and record a full trace.
 
-    At the start of each round every process emits an approximation snapshot
-    and sends its consensus state as it stood after the previous round; each
-    receiver gets those of its in-neighbours in the round graph, in ascending
-    sender order; absorb then cons_step run per process.  A decided state is
-    read as DECIDE(x) by its receivers, every round from its decision on.
-    An unchanged approximation state resends its last snapshot.
+    Every process has one approximation outbox, an `ApproxMessage` built
+    once for the run.  At the start of each round, after the previous
+    round's prune and before any absorb, each outbox is re-pointed at its
+    process's approximation state, so every receiver reads its senders'
+    states of the previous round, already pruned in a pruned run, never
+    one absorbed in this round.  Each process also sends its consensus
+    state as it stood after the previous round.  Each receiver gets those
+    of its in-neighbours in the round graph, in ascending sender order;
+    absorb then cons_step run per process.  A decided state is read as
+    DECIDE(x) by its receivers, every round from its decision on.
     """
     n = scenario.n
     d = scenario.d_bound
     approx = [ap.approx_init(p, n) for p in range(n)]
     cons = [cs.cons_init(scenario.inputs[p]) for p in range(n)]
-    snapshots = [ap.approx_emit(st) for st in approx]
+    outbox = [ap.ApproxMessage(p, st) for p, st in enumerate(approx)]
     trace = Trace(scenario=scenario, pruned=prune)
     decisions = trace.decisions
 
     for r in range(1, scenario.horizon + 1):
         in_masks = scenario.seq.round(r).in_masks()
-        snapshots = [m if m.graph is st else ap.approx_emit(st)
-                     for m, st in zip(snapshots, approx)]
+        for m, st in zip(outbox, approx):
+            m.graph = st
         sent = list(cons)
 
         events = {}
@@ -118,7 +122,7 @@ def run(scenario, prune=False):
         for p in range(n):
             senders = _senders(in_masks[p])
             state = approx[p] = ap.approx_absorb(
-                approx[p], r, [snapshots[u] for u in senders]
+                approx[p], r, [outbox[u] for u in senders]
             )
             log = {}
 

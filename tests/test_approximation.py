@@ -13,7 +13,6 @@ from dynconsensus import (
     RoundGraph,
     Scenario,
     approx_absorb,
-    approx_emit,
     approx_init,
     approx_prune,
     approx_restrict,
@@ -53,18 +52,10 @@ def test_init_refuses_an_id_outside_the_run():
             approx_init(p, N)
 
 
-def test_emit_is_a_pure_snapshot():
-    state = approx_init(0, N)
-    m1 = approx_emit(state)
-    m2 = approx_emit(state)
-    assert m1.sender == 0 and m1.graph == state
-    assert m1 == m2
-
-
 def test_absorb_adds_direct_edge_with_round_label():
     p = approx_init(0, N)
     q = approx_init(1, N)
-    p = approx_absorb(p, 1, [approx_emit(q)])
+    p = approx_absorb(p, 1, [ApproxMessage(q.owner, q)])
     assert p.vertices == {0, 1}
     assert p.edges[(1, 0)] == 1 << 1
 
@@ -78,7 +69,7 @@ def test_merge_takes_label_union():
     # p already knows (2 -> 3) from round 1; q's snapshot says round 2 too.
     p = forge(N, 0, {0, 2, 3}, edges={(2, 3): 1 << 1})
     q = forge(N, 1, {1, 2, 3}, edges={(2, 3): 1 << 2})
-    merged = approx_absorb(p, 3, [approx_emit(q)])
+    merged = approx_absorb(p, 3, [ApproxMessage(q.owner, q)])
     assert merged.edges[(2, 3)] == 1 << 1 | 1 << 2
     assert merged.edges[(1, 0)] == 1 << 3
 
@@ -86,8 +77,8 @@ def test_merge_takes_label_union():
 def test_absorb_is_monotone():
     p = approx_init(0, N)
     q = approx_init(1, N)
-    p = approx_absorb(p, 1, [approx_emit(q)])
-    p2 = approx_absorb(p, 2, [approx_emit(q)])
+    p = approx_absorb(p, 1, [ApproxMessage(q.owner, q)])
+    p2 = approx_absorb(p, 2, [ApproxMessage(q.owner, q)])
     for edge, mask in p.edges.items():
         assert p2.edges[edge] & mask == mask
     assert p.vertices <= p2.vertices
@@ -95,20 +86,22 @@ def test_absorb_is_monotone():
 
 def test_malformed_snapshots_rejected():
     def snapshot(vertices, edges):
-        return approx_emit(forge(N, 1, vertices, edges=edges))
+        s = forge(N, 1, vertices, edges=edges)
+        return ApproxMessage(s.owner, s)
 
     # One case per validation rule, each breaking that rule alone.  The
     # first three are states known well formed, each failing one clause of
     # absorb's fast path (width, sender, highest label), so each must
     # reach the full check.
+    zero, wide = approx_init(0, N), approx_init(1, N + 1)
     heard = approx_absorb(approx_init(1, N), 2,
-                          [approx_emit(approx_init(0, N))])
+                          [ApproxMessage(zero.owner, zero)])
+    stray = replace(approx_init(1, N), vertices={1, N})
     cases = [
-        (approx_emit(approx_init(1, N + 1)), "169-bit slots, not 144"),
-        (ApproxMessage(sender=2, graph=approx_init(1, N)), "owner mismatch"),
-        (approx_emit(heard), r"labels outside \[1, 1\]"),
-        (approx_emit(replace(approx_init(1, N), vertices={1, N})),
-         r"vertex 12 outside \[0, 11\]"),
+        (ApproxMessage(wide.owner, wide), "169-bit slots, not 144"),
+        (ApproxMessage(2, approx_init(1, N)), "owner mismatch"),
+        (ApproxMessage(heard.owner, heard), r"labels outside \[1, 1\]"),
+        (ApproxMessage(stray.owner, stray), r"vertex 12 outside \[0, 11\]"),
         (snapshot({1}, {(1, 1): 1 << 1}), "self-loop"),
         (snapshot({1, 2}, {(2, 3): 1 << 1}), "unknown endpoint"),
         (snapshot({0, 1}, {(0, 1): 1 << 5}), "outside"),  # future label
@@ -124,7 +117,8 @@ def test_cached_snapshot_facts_do_not_fix_the_round():
     # The same message objects are absorbed at rounds 2 and 6, in both
     # orders: label 5 is outside [1, 1] but inside [1, 5].
     state = forge(N, 1, {0, 1}, edges={(0, 1): 1 << 5})
-    early, late = approx_emit(state), approx_emit(state)
+    early = ApproxMessage(state.owner, state)
+    late = ApproxMessage(state.owner, state)
     for msg, rounds in ((early, (2, 6)), (late, (6, 2))):
         for r in rounds:
             if r == 2:
@@ -448,7 +442,8 @@ def test_carried_facts_match_reference_validation_along_a_chain(steps):
             refs[i] = _reference_prune(refs[i], args[0])
         else:
             r, senders, forged = args
-            pairs = [(approx_emit(states[j]), (refs[j].owner, refs[j]))
+            pairs = [(ApproxMessage(states[j].owner, states[j]),
+                      (refs[j].owner, refs[j]))
                      for j in senders] + forged
             expected = _error(_reference_absorb, refs[i], r,
                               [ref for _, ref in pairs])
@@ -606,10 +601,11 @@ def test_absorb_union_is_commutative_and_monotone(items):
             if u != v:
                 edges[(u, v)] = edges.get((u, v), 0) | (1 << r)
         vertices = {owner} | {x for e in edges for x in e}
-        return forge(N, owner, vertices, edges=edges)
+        s = forge(N, owner, vertices, edges=edges)
+        return ApproxMessage(s.owner, s)
 
-    a = approx_emit(snapshot(1, items[: len(items) // 2]))
-    b = approx_emit(snapshot(2, items[len(items) // 2:]))
+    a = snapshot(1, items[: len(items) // 2])
+    b = snapshot(2, items[len(items) // 2:])
     ab = approx_absorb(approx_init(0, N), 5, [a, b])
     ba = approx_absorb(approx_init(0, N), 5, [b, a])
     assert ab == ba
@@ -677,8 +673,8 @@ def snapshot_sets(draw):
         st.integers(0, n - 1).filter(lambda q: q != owner), unique=True))
     own, own_edges = state(owner)
     snaps = [state(q) for q in senders]
-    return n, r, own, [approx_emit(s) for s, _ in snaps], [own_edges] + [
-        e for _, e in snaps]
+    received = [ApproxMessage(s.owner, s) for s, _ in snaps]
+    return n, r, own, received, [own_edges] + [e for _, e in snaps]
 
 
 @given(snapshot_sets())
@@ -814,7 +810,7 @@ def _engine_chain(n, graphs, window, ids=None):
     states = [approx_init(ids[p], size) for p in range(n)]
     chain = list(states)
     for r, edges in enumerate(graphs, 1):
-        snaps = [approx_emit(s) for s in states]
+        snaps = [ApproxMessage(s.owner, s) for s in states]
         states = [approx_absorb(states[p], r,
                                 [snaps[u] for u in range(n) if (u, p) in edges])
                   for p in range(n)]

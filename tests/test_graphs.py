@@ -21,6 +21,7 @@ from dynconsensus import (
 )
 from dynconsensus.adversary import scenario_from_dict
 from dynconsensus.graphs import round_diameter
+from forgery import sticky_sequence
 
 # The 5-node figure graph: 0<->1, 1->2, 3->0, 3->4, 4->1.
 FIG_EDGES = [(0, 1), (1, 0), (1, 2), (3, 0), (3, 4), (4, 1)]
@@ -469,30 +470,6 @@ def minimal_intervals(intervals):
         if first_end[a] == b
         and all(first_end.get(x, b + 1) > b for x in range(a + 1, b + 1))
     )
-
-
-def sticky_sequence(rng):
-    """n in 3..7, D in 1..min(3, n - 1), T in 10..40 rounds, each repeating
-    the previous one with probability 0.85 and otherwise a fresh p = 0.3
-    digraph with a single root component."""
-    n = rng.randint(3, 7)
-    d_bound = rng.randint(1, min(3, n - 1))
-    rounds = []
-    for _ in range(rng.randint(10, 40)):
-        if rounds and rng.random() < 0.85:
-            rounds.append(rounds[-1])
-            continue
-        while True:
-            g = RoundGraph(n, [
-                (p, q)
-                for p in range(n)
-                for q in range(n)
-                if p != q and rng.random() < 0.3
-            ])
-            if len(root_components(g)) == 1:
-                break
-        rounds.append(g)
-    return GraphSequence(n, rounds), d_bound
 
 
 class TestFindRStReference:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import random
 from math import isqrt
 from unittest import mock
 
@@ -35,7 +36,7 @@ from dynconsensus import (
 from dynconsensus import graphs, harness
 from dynconsensus.approximation import ApproxMessage, _pair
 from dynconsensus.harness import REPORT_COLUMNS, CheckerVerdict
-from forgery import forge
+from forgery import forge, sticky_sequence
 
 
 def three_cycle(horizon=12, inputs=(1, 5, 3), d=2):
@@ -102,6 +103,21 @@ class TestRun:
         trace = run(three_cycle(horizon=12))
         final = trace.records[-1].cons
         assert all(st.decided and st.x == 5 for st in final)
+
+    def test_each_process_builds_one_outbox(self):
+        # One ApproxMessage per process for the whole run, pruned or not:
+        # the rotating root changes every state each round, and with D = 2
+        # the cutoff moves from round 9 on.  Re-pointing the outboxes must
+        # leave every recorded state as it is.
+        sc = gen_rotating_roots(seed=3, n=5, d_bound=2, horizon=30)
+        for prune in (False, True):
+            with mock.patch.object(harness.ap, "ApproxMessage",
+                                   wraps=harness.ap.ApproxMessage) as built:
+                trace = run(sc, prune=prune)
+            assert built.call_count == sc.n
+            assert [c.args[0] for c in built.call_args_list] == list(
+                range(sc.n))
+            assert trace == run(sc, prune=prune)
 
     def test_crash_embedding(self):
         # Removing q's out-edges from round r+1 is equivalent, for everyone
@@ -884,3 +900,27 @@ def test_run_that_does_not_prune_fails_the_cutoff_rule(monkeypatch):
         "rule": "pruned_before", "process": 0, "round": 13,
         "pruned_before": 0, "expected": 1,
     }
+
+
+def test_random_sequences_fail_only_where_the_assumption_fails():
+    # The oracle classifies 600 random single-root sequences against
+    # Assumption 1.  Where it holds, no checker fails.  Where it does not,
+    # the approximation layer, agreement and validity still hold; the lock
+    # discipline and the termination bound are promised only under it.
+    rng = random.Random(7)
+    clean = violating = 0
+    for i in range(600):
+        seq, d = sticky_sequence(rng)
+        inputs = tuple(rng.randint(0, 2) for _ in range(seq.n))
+        sc = Scenario(d_bound=d, inputs=inputs, seq=seq,
+                      meta={"generator": "sticky", "seed": i})
+        verdicts = run_checkers(run(sc, prune=i % 2 == 1))
+        if sc.facts.assumption_holds:
+            clean += 1
+            failed = [v for v in verdicts if v.status == "fail"]
+        else:
+            violating += 1
+            failed = [v for v in verdicts if v.status == "fail"
+                      and v.name in ("approx", "agreement", "validity")]
+        assert not failed, (i, failed)
+    assert clean >= 50 and violating >= 400, (clean, violating)
