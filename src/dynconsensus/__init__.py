@@ -35,7 +35,6 @@ from .consensus import (
     cons_step,
 )
 from .adversary import (
-    ExpanderConfig,
     InfeasibleError,
     Scenario,
     ScenarioParseError,

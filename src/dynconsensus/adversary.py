@@ -208,6 +208,20 @@ def _scenario(generator, seed, n, d_bound, rounds, assumption=None,
     return sc
 
 
+def _cycle(vertices):
+    """The directed cycle through `vertices` in order; no edge for fewer
+    than two vertices."""
+    if len(vertices) < 2:
+        return set()
+    return set(zip(vertices, [*vertices[1:], vertices[0]]))
+
+
+def _layered(layers):
+    """Every edge from each layer to the next."""
+    return {(u, v) for prev, layer in zip(layers, layers[1:])
+            for u in prev for v in layer}
+
+
 def _star_round(n, center, rng=None, extra=0):
     """Singleton-root round: center -> everyone, plus extras not into center."""
     edges = {(center, q) for q in range(n) if q != center}
@@ -269,16 +283,7 @@ def gen_stable_window(seed, n, d_bound, r_st, horizon=None):
             layers.append(outside[prev:c])
             prev = c
 
-    backbone = set()
-    if k > 1:
-        for i in range(k):
-            backbone.add((root[i], root[(i + 1) % k]))
-    prev_layer = root
-    for layer in layers:
-        for u in prev_layer:
-            for v in layer:
-                backbone.add((u, v))
-        prev_layer = layer
+    backbone = _layered([root] + layers) | _cycle(root)
 
     root_set = frozenset(root)
     rounds = []
@@ -360,15 +365,8 @@ def gen_two_roots(n0, n1, horizon):
         raise InfeasibleError("need n0, n1 >= 1")
     n = n0 + n1 + 1
     sink = n - 1
-    edges = set()
-    if n0 > 1:
-        for i in range(n0):
-            edges.add((i, (i + 1) % n0))
-    if n1 > 1:
-        for i in range(n1):
-            edges.add((n0 + i, n0 + (i + 1) % n1))
-    edges.add((0, sink))
-    edges.add((n0, sink))
+    edges = (_cycle(range(n0)) | _cycle(range(n0, n0 + n1))
+             | {(0, sink), (n0, sink)})
     g = RoundGraph(n, edges)
     return _scenario("two_roots", 0, n, n - 1, [g] * horizon,
                      violation("two_roots"),
@@ -383,7 +381,7 @@ def gen_complete_then_rings(horizon=3):
     complete = RoundGraph(
         n, [(p, q) for p in range(n) for q in range(n) if p != q]
     )
-    ring = RoundGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    ring = RoundGraph(n, _cycle(range(n)))
     return _scenario("complete_then_rings", 0, n, 1,
                      [complete] + [ring] * (horizon - 1),
                      violation("not_d_bounded"))
@@ -413,15 +411,7 @@ def gen_short_window(n, d_bound, horizon, r_st=3, seed=0):
     for i in range(len(body) - depth + 1, len(body)):
         layers.append([body[i]])
 
-    edges = set()
-    prev = [0]
-    for layer in layers:
-        for u in prev:
-            for v in layer:
-                edges.add((u, v))
-        prev = layer
-    for u in prev:
-        edges.add((u, far))
+    edges = _layered([[0]] + layers + [[far]])
     backbone = RoundGraph(n, edges)
 
     a_pair = (layers[0][0], layers[0][1])
@@ -441,69 +431,58 @@ def gen_short_window(n, d_bound, horizon, r_st=3, seed=0):
     return sc
 
 
-@dataclass(frozen=True)
-class ExpanderConfig:
-    n: int
-    root_size: int
-    degree: int = 4
-
-    def __post_init__(self):
-        if self.degree < 3:
-            raise InfeasibleError("degree must be >= 3")
-        if not 1 <= self.root_size <= self.n:
-            raise InfeasibleError("root_size must be in [1, n]")
+# Each expander round joins two random regular graphs of this degree.
+DEGREE = 4
 
 
-def _regular_connected(k, degree, rng):
-    """Connected random regular graph on k vertices (undirected, as edge list
-    of vertex-index pairs); complete graph when k is too small for the degree.
+def _regular_connected(k, rng):
+    """Connected random DEGREE-regular graph on k vertices (undirected, as
+    edge list of vertex-index pairs); complete graph when k <= DEGREE.
 
     networkx is imported here, on the first call, and nowhere else in the
     package: `import dynconsensus` loads no third-party package."""
     import networkx as nx  # deferred: most of `import dynconsensus` time
 
-    if k <= degree:
+    if k <= DEGREE:
         return [(i, j) for i in range(k) for j in range(i + 1, k)]
-    if k * degree % 2:
-        raise InfeasibleError("k * degree must be even for a regular graph")
     while True:
-        g = nx.random_regular_graph(degree, k, seed=rng.randrange(2**32))
+        g = nx.random_regular_graph(DEGREE, k, seed=rng.randrange(2**32))
         if nx.is_connected(g):
             return list(g.edges())
 
 
-def _expander_round(cfg, rng):
-    n, root = cfg.n, cfg.root_size
+def _expander_round(n, root_size, rng):
     edges = set()
-    for i, j in _regular_connected(root, cfg.degree, rng):
+    for i, j in _regular_connected(root_size, rng):
         edges.add((i, j))
         edges.add((j, i))
-    for i, j in _regular_connected(n, cfg.degree, rng):
+    for i, j in _regular_connected(n, rng):
         # Bidirect, then drop directions pointing into the root set.
-        if i >= root:
+        if i >= root_size:
             edges.add((j, i))
-        if j >= root:
+        if j >= root_size:
             edges.add((i, j))
     return RoundGraph(n, edges)
 
 
-def gen_expander(cfg, seed, horizon):
+def gen_expander(seed, n, root_size, horizon):
     """Per-round union of a random regular graph on the root set R = [0, |R|)
     and one on all of V, bidirected, minus edges into R from outside."""
-    rng = random.Random(f"expander:{seed}:{cfg.n}:{cfg.root_size}:{cfg.degree}")
+    if not 1 <= root_size <= n:
+        raise InfeasibleError("root_size must be in [1, n]")
+    rng = random.Random(f"expander:{seed}:{n}:{root_size}:{DEGREE}")
     seq = GraphSequence(
-        cfg.n, [_expander_round(cfg, rng) for _ in range(horizon)]
+        n, [_expander_round(n, root_size, rng) for _ in range(horizon)]
     )
 
-    root = frozenset(range(cfg.root_size))
+    root = frozenset(range(root_size))
     measured = round_diameter(seq, 1, root)
     if measured == float("inf"):
         raise InfeasibleError("horizon too short to measure the diameter")
-    d_bound = min(max(1, int(measured)), cfg.n - 1)
-    sc = _scenario("expander", seed, cfg.n, d_bound, seq.rounds, ASSUMPTION_2,
+    d_bound = min(max(1, int(measured)), n - 1)
+    sc = _scenario("expander", seed, n, d_bound, seq.rounds, ASSUMPTION_2,
                    measured_diameter=int(measured))
     for t, rr in enumerate(sc.facts.roots, start=1):
         if rr != (root,):
             raise AssertionError(f"round {t}: root is not R")
     return sc
-

@@ -15,8 +15,9 @@ state of each round, and no message is built per round.
 
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  The pure functions of immutable values
-(`_strong`, `_allowed_mask`, `_label_text`, `_layout`) are bounded
-module-level caches that every process shares.  The transitions keep a
+(`_strong`, `_label_text`, `_layout`) are bounded module-level caches that
+every process shares; `_allowed_mask` is cached too, but only a malformed
+or hand-built snapshot reaches it.  The transitions keep a
 state's well-formedness up to date, so a received snapshot is validated by
 four comparisons inline in `approx_absorb`, not a pass over its bits; only
 a snapshot that fails one goes through `_validate_snapshot`'s full check.
@@ -78,9 +79,12 @@ def _slots(packed, width):
     return slots
 
 
-# Cache sizes come from the working sets of the benchmark corpora (n <= 20,
-# T <= 96), measured with every cache cleared before each scenario: at most
-# 66 distinct vertex sets and 1,170 label masks per scenario.
+# `_label_text`'s size comes from the working sets of the benchmark corpora
+# (n <= 20, T <= 96), measured with every cache cleared before each
+# scenario: at most 1,170 label masks per scenario.  `_allowed_mask` is
+# called only by `_validate_snapshot`, which sees only the snapshots that
+# fail `approx_absorb`'s fast path, so only malformed or hand-built
+# snapshots reach it.
 
 @lru_cache(maxsize=256)
 def _allowed_mask(vertices):

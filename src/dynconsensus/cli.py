@@ -93,10 +93,7 @@ def _generate(args, seed):
             n, d, args.horizon, r_st=args.r_st, seed=seed
         )
     if gen == "expander":
-        cfg = adv.ExpanderConfig(
-            n=n, root_size=args.root_size, degree=args.degree
-        )
-        return adv.gen_expander(cfg, seed, args.horizon)
+        return adv.gen_expander(seed, n, args.root_size, args.horizon)
     raise adv.InfeasibleError(f"unknown generator: {gen}")
 
 
@@ -235,7 +232,6 @@ def _add_generator_flags(parser):
     parser.add_argument("--n0", type=int, default=2)
     parser.add_argument("--n1", type=int, default=2)
     parser.add_argument("--root-size", dest="root_size", type=int, default=8)
-    parser.add_argument("--degree", type=int, default=4)
 
 
 def build_parser():

@@ -16,7 +16,6 @@ import pytest
 import dynconsensus
 from dynconsensus import (
     INFINITY,
-    ExpanderConfig,
     GraphSequence,
     RoundGraph,
     causal_distance,
@@ -198,8 +197,8 @@ def test_acceptance_7_expander_log_diameter():
     t0 = time.monotonic()
     measured, scenarios = {}, {}
     for n in (64, 128, 256):
-        cfg = ExpanderConfig(n=n, root_size=n // 8, degree=4)
-        sc = scenarios[n] = gen_expander(cfg, seed=17, horizon=20)
+        sc = scenarios[n] = gen_expander(seed=17, n=n, root_size=n // 8,
+                                         horizon=20)
         measured[n] = sc.meta["measured_diameter"]
     # The smallest expander also runs end to end, pruned, through every
     # checker.

@@ -8,7 +8,6 @@ import pytest
 
 from dynconsensus import (
     INFINITY,
-    ExpanderConfig,
     InfeasibleError,
     ScenarioParseError,
     causal_distance,
@@ -156,14 +155,14 @@ class TestShortWindow:
 
 class TestExpander:
     def test_root_is_r_every_round(self):
-        cfg = ExpanderConfig(n=64, root_size=8, degree=4)
-        sc = gen_expander(cfg, seed=1, horizon=6)
+        sc = gen_expander(seed=1, n=64, root_size=8, horizon=6)
         for r in range(1, 7):
             assert root_components(sc.seq.round(r)) == (frozenset(range(8)),)
 
-    def test_config_validation(self):
-        with pytest.raises(InfeasibleError):
-            ExpanderConfig(n=16, root_size=4, degree=2)
+    @pytest.mark.parametrize("root_size", [0, 17])
+    def test_root_size_must_be_in_1_to_n(self, root_size):
+        with pytest.raises(InfeasibleError, match=r"root_size must be in \[1, n\]"):
+            gen_expander(seed=1, n=16, root_size=root_size, horizon=6)
 
     def test_networkx_loads_on_first_expander_call(self):
         # A fresh interpreter: importing the package and its CLI loads no
@@ -173,8 +172,8 @@ class TestExpander:
             "import dynconsensus, dynconsensus.cli\n"
             "if 'networkx' in sys.modules:\n"
             "    sys.exit('networkx loaded by the import')\n"
-            "from dynconsensus import ExpanderConfig, gen_expander\n"
-            "gen_expander(ExpanderConfig(n=16, root_size=4), 1, 6)\n"
+            "from dynconsensus import gen_expander\n"
+            "gen_expander(1, 16, 4, 6)\n"
             "if 'networkx' not in sys.modules:\n"
             "    sys.exit('networkx not loaded by gen_expander')\n"
         )
@@ -239,7 +238,7 @@ class TestScenarioTags:
         lambda: gen_two_roots(2, 3, 12),
         lambda: gen_complete_then_rings(),
         lambda: gen_short_window(6, 2, horizon=10, r_st=3),
-        lambda: gen_expander(ExpanderConfig(n=16, root_size=4), 1, 12),
+        lambda: gen_expander(1, 16, 4, 12),
     ], ids=["stable_window", "rotating_roots", "static_line", "static_star",
             "reversing_line", "two_roots", "complete_then_rings",
             "short_window", "expander"])
@@ -267,10 +266,9 @@ class TestScenarioFormat:
             assert loaded.meta["generator"] == sc.meta["generator"]
 
     def test_round_trip_keeps_every_meta_key(self, tmp_path):
-        cfg = ExpanderConfig(n=16, root_size=4, degree=4)
         for key, sc in (
             ("kappa", gen_reversing_line(4, 5, 12)),
-            ("measured_diameter", gen_expander(cfg, seed=1, horizon=12)),
+            ("measured_diameter", gen_expander(1, 16, 4, 12)),
         ):
             path = tmp_path / f"{key}.json"
             scenario_save(sc, path)

@@ -99,6 +99,8 @@ def test_infeasible_generate(tmp_path, capsys):
     ["--gen", "short_window", "--n", "6", "--horizon", "0"],
     ["--gen", "expander", "--n", "16", "--root-size", "4", "--horizon", "0"],
     ["--gen", "stable_window", "--horizon", "0"],
+    ["--gen", "expander", "--n", "8", "--root-size", "9", "--horizon", "5"],
+    ["--gen", "nope"],
 ])
 def test_generate_usage_errors_exit_2(flags, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -122,8 +124,12 @@ def test_run_prune_static_star_passes(tmp_path, capsys):
     assert "approx: pass" in out and "RESULT: PASS" in out
 
 
-def test_bad_flags_are_usage_errors(capsys):
+def test_bad_flags_are_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
+    # The expander's degree is fixed; there is no flag for it.
+    assert main(["generate", "--gen", "expander", "--n", "16",
+                 "--root-size", "4", "--horizon", "6", "--degree", "4",
+                 "--out", str(tmp_path / "x.json")]) == 2
     capsys.readouterr()
 
 

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from dynconsensus import (
-    ExpanderConfig,
     gen_complete_then_rings,
     gen_expander,
     gen_reversing_line,
@@ -53,9 +52,7 @@ CORPUS = {
     "two_roots": lambda: gen_two_roots(2, 2, 20),
     "complete_then_rings": lambda: gen_complete_then_rings(6),
     "short_window": lambda: gen_short_window(6, 2, 12),
-    "expander": lambda: gen_expander(
-        ExpanderConfig(n=16, root_size=4, degree=4), seed=1, horizon=12
-    ),
+    "expander": lambda: gen_expander(seed=1, n=16, root_size=4, horizon=12),
     "pruned_stable_window": lambda: gen_stable_window(
         seed=1, n=6, d_bound=2, r_st=3, horizon=60),
     "pruned_static_star": lambda: gen_static_star(4, 30),

@@ -477,7 +477,7 @@ class TestFindRStReference:
         # Every fact equals the one-by-one search, except that only the
         # minimal intervals that are not D-bounded are kept.
         from dynconsensus import (
-            ExpanderConfig, gen_complete_then_rings, gen_expander,
+            gen_complete_then_rings, gen_expander,
             gen_reversing_line, gen_rotating_roots, gen_short_window,
             gen_stable_window, gen_static_line, gen_static_star,
             gen_two_roots,
@@ -493,7 +493,7 @@ class TestFindRStReference:
             gen_reversing_line(5, 3, 20),
             gen_two_roots(2, 2, 20),
             gen_short_window(6, 2, horizon=12, r_st=3),
-            gen_expander(ExpanderConfig(n=16, root_size=4), 1, 16),
+            gen_expander(1, 16, 4, 16),
         ] + [gen_complete_then_rings(h) for h in range(2, 30)]
         cases += [(sc.seq, sc.d_bound) for sc in family]
         violating = found = 0

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconsensus import (
-    ExpanderConfig,
     GraphSequence,
     RoundGraph,
     Scenario,
@@ -260,8 +259,7 @@ class TestCheckers:
     def test_approx_slice_witness_in_multiword_slots(self, prune):
         # n = 16 gives 256-bit slots, so a slot spans several machine words
         # and the witness is read off the XOR of the packed ints.
-        sc = gen_expander(ExpanderConfig(n=16, root_size=4, degree=4),
-                          seed=1, horizon=12)
+        sc = gen_expander(seed=1, n=16, root_size=4, horizon=12)
         assert sc.d_bound == 3
         trace = run(sc, prune=prune)
         state = trace.records[9].approx[5]
@@ -498,8 +496,7 @@ class TestTraceFile:
         lambda: gen_stable_window(seed=5, n=7, d_bound=3, r_st=15),
         lambda: gen_stable_window(seed=6, n=6, d_bound=2, r_st=10),
         # 256-bit slots, D = 3: pruning starts at round 13.
-        lambda: gen_expander(ExpanderConfig(n=16, root_size=4, degree=4),
-                             seed=1, horizon=20),
+        lambda: gen_expander(seed=1, n=16, root_size=4, horizon=20),
     ], ids=["sw5", "sw7", "sw6", "expander16"])
     def test_approx_digest_hashes_each_recorded_state(self, tmp_path, make,
                                                       prune):
