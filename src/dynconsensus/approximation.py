@@ -14,20 +14,18 @@ outbox, an `ApproxMessage` kept for the whole run, is re-pointed at its
 state of each round, and no message is built per round.
 
 Every process estimates the same graph sequence, so the values derived
-from A_p repeat across processes.  The pure functions of immutable values
-(`_strong`, `_label_text`, `_layout`) are bounded module-level caches that
-every process shares; `_allowed_mask` is cached too, but only a malformed
-or hand-built snapshot reaches it.  The transitions keep a
+from A_p repeat across processes.  `_strong`, a pure function of an
+immutable slice, is a bounded module-level cache that every process
+shares; `_allowed_mask` is cached too, but only a malformed or hand-built
+snapshot reaches it.  The transitions keep a
 state's well-formedness up to date, so a received snapshot is validated by
 four comparisons inline in `approx_absorb`, not a pass over its bits; only
 a snapshot that fails one goes through `_validate_snapshot`'s full check.
 The component rule (an empty slice detects the owner, else the strongly
 connected set counts only if it holds the owner) is `_component`, which
 both `detected_component` and the one-pass `in_stable_root` call.
-Edge-major views are for reading traces: `ApproxState.edges` transposes
-one state, and an `EdgeCursor` walks one process's states in round order,
-moving its rank-indexed edge lists by the slots set in the XOR of
-consecutive states.
+`ApproxState.edges` and `sorted_edges` are edge-major views of one state,
+for tests and tools; the trace digest renders its edges in `harness`.
 """
 
 from __future__ import annotations
@@ -79,13 +77,9 @@ def _slots(packed, width):
     return slots
 
 
-# `_label_text`'s size comes from the working sets of the benchmark corpora
-# (n <= 20, T <= 96), measured with every cache cleared before each
-# scenario: at most 1,170 label masks per scenario.  `_allowed_mask` is
-# called only by `_validate_snapshot`, which sees only the snapshots that
-# fail `approx_absorb`'s fast path, so only malformed or hand-built
-# snapshots reach it.
-
+# `_allowed_mask` is called only by `_validate_snapshot`, which sees only
+# the snapshots that fail `approx_absorb`'s fast path, so only malformed or
+# hand-built snapshots reach it.
 @lru_cache(maxsize=256)
 def _allowed_mask(vertices):
     """Bits of every edge u -> v, u != v, within `vertices`: in shell m,
@@ -96,87 +90,6 @@ def _allowed_mask(vertices):
         low = vmask & ((1 << m) - 1)
         allowed |= low << m * m | low << m * m + m
     return allowed
-
-
-@lru_cache(maxsize=2048)
-def _label_text(mask):
-    """The JSON list of the rounds in a label mask: "[l1, ..., lk]"."""
-    return f"[{', '.join(map(str, _bits(mask)))}]"
-
-
-# A table of 16,384 ranks (n = 128) holds 1.7 MB, one of 90,601 (n = 301)
-# 10 MB.  A trace save reads one width, but the acceptance-1 batch cycles
-# n = 3..16, 14 widths, through the 8 entries, so each of its saves
-# rebuilds its table: 30-130 us on a 2-vCPU VM, 2.7 ms in a pass of its 84
-# scenarios, about 0.15% of the pass.  Not worth a larger cache.
-@lru_cache(maxsize=8)
-def _layout(width):
-    """(rank, prefix) for width n*n: `rank[b]` = u*n + v, the rank in sorted
-    order of the edge (u, v) with pair bit b, and `prefix[u*n + v]` its JSON
-    "[u, v, ".  Shell m holds (u, m) for u < m, then (m, v) for v <= m."""
-    n = isqrt(width)
-    rank = []
-    for m in range(n):
-        rank += range(m, m * n, n)
-        rank += range(m * n, m * n + m + 1)
-    return rank, [f"[{u}, {v}, " for u in range(n) for v in range(n)]
-
-
-class EdgeCursor:
-    """The slice -> edge transposition of one process's states, read in
-    round order: a read costs the bits changed since the last plus one join
-    over the n*n ranks; any other order is correct, only slower.  `masks[j]`
-    is the label mask of the edge of rank j (see `_layout`), `frags[j]` its
-    JSON fragment "[u, v, [l1, ..., lk]]" or None when it is absent, and
-    `text` the held state's edges JSON, so a second read joins nothing."""
-
-    __slots__ = ("state", "masks", "frags", "text")
-
-    def __init__(self):
-        self.state = None
-
-    def edges_json(self, state):
-        """Exactly `json.dumps(state.sorted_edges())`."""
-        if state is not self.state:
-            self._move(state)
-        return self.text
-
-    def _move(self, state):
-        """XOR each slice that changed since the held state into the edge
-        masks and re-render only the touched edges.  The two packed ints
-        are aligned to the lower cutoff, so a slice below `state`'s that
-        the held state still has reads as emptied, and the changed slots
-        are read off their XOR from the top, one bit length each.  A held
-        state of another width is dropped: the move starts from no
-        edges."""
-        width, base = state.width, state.pruned_before
-        held, a, b = self.state, 0, state.packed
-        if held is None or held.width != width:
-            self.masks, self.frags = [0] * width, [None] * width
-        else:
-            a = held.packed
-            lift = base - held.pruned_before
-            if lift > 0:
-                b <<= lift * width
-                base -= lift
-            elif lift < 0:
-                a <<= -lift * width
-        rank, prefix = _layout(width)
-        diff, masks, frags, touched = a ^ b, self.masks, self.frags, set()
-        while diff:
-            k = (diff.bit_length() - 1) // width
-            flips = diff >> k * width  # slot k's changed bits, the top left
-            diff ^= flips << k * width
-            label = 1 << base + k
-            for i in _set_bits(flips):
-                j = rank[i]
-                masks[j] ^= label
-                touched.add(j)
-        for j in touched:
-            m = masks[j]
-            frags[j] = prefix[j] + _label_text(m) + "]" if m else None
-        self.text = "[" + ", ".join(filter(None, frags)) + "]"
-        self.state = state
 
 
 @dataclass(repr=False, slots=True)

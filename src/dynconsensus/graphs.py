@@ -342,7 +342,9 @@ def vertex_stable_intervals(seq):
 
 def check_d_bounded(seq, interval, members, d_bound):
     """D-boundedness of a vertex-stable SCC: interval diameter and the
-    late-start diameter at round s - D + 1 both at most D."""
+    late-start diameter at round s - D + 1 both at most D.  The diameter is
+    the members' own, members to members (`scc_causal_diameter`), not the
+    members-to-every-process diameter that `find_r_st` bounds."""
     if d_bound < 1:
         raise ValueError("D must be >= 1")
     per_round, _ = scc_causal_diameter(seq, interval, members)
@@ -355,7 +357,10 @@ def find_r_st(seq, d_bound):
 
     Returns a StabilityReport with the smallest r such that [r, r + 4D + 1]
     lies within the horizon and hosts a D-bounded vertex-stable root
-    component (4D + 2 rounds, the minimum satisfying d > 4D).  Violations of
+    component (4D + 2 rounds, the minimum satisfying d > 4D).  Here the
+    diameter runs from the root's members to every process, as in
+    `network_causal_diameter`, not members to members as in
+    `check_d_bounded`.  Violations of
     the single-root clause and of "every stable root interval of length >= D
     is D-bounded" are reported as fields, not errors.  Every round is
     decomposed into root components exactly once, and each single-root run

@@ -29,13 +29,69 @@ def _vertices_json(vertices):
     return json.dumps(sorted(vertices))
 
 
-def approx_digest(state, cursor):
+# `_label_text`'s size comes from the working sets of the benchmark corpora
+# (n <= 20, T <= 96), measured with every cache cleared before each
+# scenario: at most 1,170 label masks per scenario.
+@lru_cache(maxsize=2048)
+def _label_text(mask):
+    """The JSON list of the rounds in a label mask: "[l1, ..., lk]"."""
+    return f"[{', '.join(map(str, _bits(mask)))}]"
+
+
+def _layout(n):
+    """(rank, prefix) for a run on n processes: `rank[b]` = u*n + v, the
+    rank in sorted order of the edge (u, v) with pair bit b, and
+    `prefix[u*n + v]` its JSON "[u, v, ".  Shell m holds (u, m) for u < m,
+    then (m, v) for v <= m."""
+    rank = []
+    for m in range(n):
+        rank += range(m, m * n, n)
+        rank += range(m * n, m * n + m + 1)
+    return rank, [f"[{u}, {v}, " for u in range(n) for v in range(n)]
+
+
+def _edges_json(states, rank, prefix):
+    """Yield `json.dumps(state.sorted_edges())` for each of one process's
+    states, given in round order, with the `_layout` of their run.
+    `masks[j]` is the label mask of the edge of rank j and `frags[j]` its
+    JSON fragment "[u, v, [l1, ..., lk]]", or None when it is absent.  Each
+    state moves them from the one before by the bits set in the XOR of the
+    two packed ints, the new one lifted to the old cutoff (a cutoff never
+    falls), so a slice that pruning dropped reads as emptied; the changed
+    slots are read off the XOR from the top, one bit length each, and only
+    the touched edges are re-rendered.  A state that is the same object as
+    the one before is not walked again."""
+    width = len(rank)
+    masks, frags = [0] * width, [None] * width
+    held, a, base, text = None, 0, 0, "[]"
+    for state in states:
+        if state is not held:
+            b = state.packed << (state.pruned_before - base) * width
+            diff, touched = a ^ b, set()
+            while diff:
+                k = (diff.bit_length() - 1) // width
+                flips = diff >> k * width  # slot k's changes, the top left
+                diff ^= flips << k * width
+                label = 1 << base + k
+                for i in ap._set_bits(flips):
+                    j = rank[i]
+                    masks[j] ^= label
+                    touched.add(j)
+            for j in touched:
+                m = masks[j]
+                frags[j] = prefix[j] + _label_text(m) + "]" if m else None
+            text = "[" + ", ".join(filter(None, frags)) + "]"
+            held, a, base = state, state.packed, state.pruned_before
+        yield text
+
+
+def approx_digest(state, edges_json):
     """Stable hash of an approximation state for compact trace records: the
     canonical JSON {edges, owner, pruned_before, vertices}, keys sorted,
-    with the edges as sorted [u, v, [labels]], rendered by `cursor`, an
-    `EdgeCursor` that reads this process's states."""
+    where `edges_json` is the state's edges as sorted [u, v, [labels]],
+    exactly `json.dumps(state.sorted_edges())`."""
     payload = (
-        f'{{"edges": {cursor.edges_json(state)}, '
+        f'{{"edges": {edges_json}, '
         f'"owner": {state.owner}, '
         f'"pruned_before": {state.pruned_before}, '
         f'"vertices": {_vertices_json(state.vertices)}}}'
@@ -163,15 +219,16 @@ def trace_save(trace, path):
     A round line's `delivered` (each receiver's ascending senders) comes from
     the round graph through `_senders`, as the engine's deliveries do, and
     its `approx` digests from the recorded states.  Those are computed one
-    process at a time, before any line is written: one `EdgeCursor` moves
-    forward through that process's states of every round by the slices
-    that changed, and only the 16-character digests are kept."""
+    process at a time, before any line is written: `_edges_json` walks that
+    process's states of every round forward, and only the 16-character
+    digests are kept."""
     sc = trace.scenario
+    rank, prefix = _layout(sc.n)
     digests = []  # [p][r - 1]
     for p in range(sc.n):
-        cursor = ap.EdgeCursor()
-        digests.append([approx_digest(rec.approx[p], cursor)
-                        for rec in trace.records])
+        states = [rec.approx[p] for rec in trace.records]
+        digests.append([approx_digest(st, text) for st, text in
+                        zip(states, _edges_json(states, rank, prefix))])
     with open(path, "w") as fh:
         header = {
             "scenario_digest": scenario_digest(sc),

@@ -22,14 +22,13 @@ from dynconsensus import (
     run,
 )
 from dynconsensus.approximation import (
-    EdgeCursor,
     _allowed_mask,
     _decode,
     _degree_masks,
     _pair,
     _strong,
 )
-from dynconsensus.harness import approx_digest
+from dynconsensus.harness import _edges_json, _layout, approx_digest
 from forgery import forge
 
 # Unless a test builds its own run, its states are those of a run on N
@@ -821,13 +820,14 @@ def _engine_chain(n, graphs, window, ids=None):
 
 
 @st.composite
-def lineage_reads(draw):
-    """(chain, reads): `_engine_chain` over 2 <= n <= 6 processes and
-    r <= 10 random round graphs, optionally pruned to a random window, and
-    random indices into it, with repeats, that interleave the lineages.  In
-    a third of the chains the ids are distinct draws up to 300, so edges
-    often join ids past 256 and the cursor reads them through a rank table
-    of 90,601 entries, `_layout` at its largest width in the tests."""
+def lineage_walks(draw):
+    """(chain, n, size, repeats): `_engine_chain` over 2 <= n <= 6
+    processes and r <= 10 random round graphs in a run on `size` ids,
+    optionally pruned to a random window, and for each state of the chain
+    how many times in a row its process's walk reads it.  In a third of the
+    chains the ids are distinct draws up to 300 in a run on 301, so edges
+    often join ids past 256 and the walk reads them through a rank table of
+    90,601 entries, `_layout` at its largest size in the tests."""
     n = draw(st.integers(2, 6))
     horizon = draw(st.integers(1, 10))
     window = draw(st.none() | st.integers(0, 4))
@@ -836,9 +836,9 @@ def lineage_reads(draw):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     graphs = [draw(st.sets(st.sampled_from(pairs))) for _ in range(horizon)]
     chain = _engine_chain(n, graphs, window, ids)
-    reads = draw(st.lists(st.integers(0, len(chain) - 1),
-                          max_size=3 * len(chain)))
-    return chain, reads
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(chain),
+                            max_size=len(chain)))
+    return chain, n, n if ids is None else 301, repeats
 
 
 def _reference_edges(state):
@@ -850,9 +850,9 @@ def _reference_edges(state):
     return edges
 
 
-def _assert_views_match_reference(state, cursor):
-    """`edges`, `sorted_edges`, the cursor's edges JSON and the digest read
-    through `cursor` all match the set-based reference."""
+def _assert_views_match_reference(state, edges_json):
+    """`edges`, `sorted_edges`, the walk's edges JSON `edges_json` and the
+    digest of the state over it all match the set-based reference."""
     edges = _reference_edges(state)
     ref = sorted(
         (u, v, tuple(s for s in range(m.bit_length()) if m >> s & 1))
@@ -860,7 +860,7 @@ def _assert_views_match_reference(state, cursor):
     )
     assert state.edges == edges
     assert state.sorted_edges() == ref
-    assert cursor.edges_json(state) == json.dumps(ref)
+    assert edges_json == json.dumps(ref)
     payload = json.dumps(
         {
             "owner": state.owner,
@@ -870,37 +870,43 @@ def _assert_views_match_reference(state, cursor):
         },
         sort_keys=True,
     )
-    assert approx_digest(state, cursor) == (
+    assert approx_digest(state, edges_json) == (
         hashlib.sha256(payload.encode()).hexdigest()[:16])
 
 
-@given(lineage_reads())
+def _assert_walk_matches_reference(states, n):
+    """Walk one process's states, in round order, of a run on n ids, and
+    check each state's text and digest against the reference."""
+    for state, text in zip(states, _edges_json(states, *_layout(n)),
+                           strict=True):
+        _assert_views_match_reference(state, text)
+
+
+@given(lineage_walks())
 @settings(deadline=None)  # a chain on 301 ids has 90,601-bit slots
-@example((_engine_chain(2, [{(0, 1)}, {(1, 0)}, {(0, 1), (1, 0)}], 1), [5, 2]))
+@example((_engine_chain(2, [{(0, 1)}, {(1, 0)}, {(0, 1), (1, 0)}], 1), 2, 2,
+          [1, 1, 1, 2, 1, 3, 1, 1]))
 # Process 0 (id 3) hears of id 270 at round 2 and of id 299 at round 5,
 # while the window of two rounds moves its cutoff.
 @example((_engine_chain(3, [{(0, 1)}, {(1, 0)}, {(2, 1), (1, 0)},
                             {(0, 2)}, {(1, 0), (0, 1)}], 2, [3, 270, 299]),
-          [14, 3, 9]))
-def test_lineage_cursor_matches_reference(case):
-    # Each owner's states are read through that owner's own cursor, which
-    # must diff from whatever state it holds, while the cursors share
-    # `_label_text` and `_layout`.  After the random reads every state is
-    # read forward, backward and forward again: going back to the edgeless
-    # first states empties every edge of its cursor's lists, and going
-    # forward renders it again.
-    chain, reads = case
-    cursors = {}
-    forward = list(range(len(chain)))
-    for i in reads + forward + forward[::-1] + forward:
-        state = chain[i]
-        cursor = cursors.setdefault(state.owner, EdgeCursor())
-        _assert_views_match_reference(state, cursor)
+          3, 301, [1, 1, 1, 2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 3, 1, 1, 1]))
+def test_lineage_walk_matches_reference(case):
+    # Each process's states are walked forward in round order, each read
+    # as many times in a row as `repeats` says, so the walk must keep the
+    # text of a repeated state and otherwise move from the state before,
+    # across every cutoff the window moves, while the walks share
+    # `_label_text`.
+    chain, n, size, repeats = case
+    for p in range(n):
+        _assert_walk_matches_reference(
+            [chain[i] for i in range(p, len(chain), n)
+             for _ in range(repeats[i])], size)
 
 
-def test_cursor_reads_forged_mid_chain_state():
+def test_walk_reads_forged_mid_chain_state():
     # A forged state shares no slice ints with its neighbours, and drops
-    # one edge and adds another, so the cursor must flip whole slices in
+    # one edge and adds another, so the walk must flip whole slices in
     # and out on the way to it and back to the real lineage.
     ring = {(0, 1), (1, 2), (2, 0)}
     lineage = _engine_chain(3, [ring] * 8, 3)[1::3]  # process 1's states
@@ -911,20 +917,4 @@ def test_cursor_reads_forged_mid_chain_state():
     lineage[5] = forge(3, 1, real.vertices, None, real.pruned_before,
                        edges=edges)
     assert lineage[5] != real
-    cursor = EdgeCursor()
-    for state in lineage:
-        _assert_views_match_reference(state, cursor)
-
-
-def test_cursor_restarts_on_a_width_change():
-    # A process's states in a run on 3, then the same slices forged into the
-    # slots of a run on 5 and back: a held state of another width must not
-    # be diffed against, since its slots sit at other bit offsets.
-    ring = {(0, 1), (1, 2), (2, 0)}
-    lineage = _engine_chain(3, [ring, {(0, 1)}, ring, ring], 2)[1::3]
-    wider = [forge(5, s.owner, s.vertices, s.slices, s.pruned_before)
-             for s in lineage]
-    assert [s.width for s in wider] == [25] * len(lineage)
-    cursor = EdgeCursor()
-    for state in lineage[:3] + wider + lineage[2:] + wider[::-1]:
-        assert cursor.edges_json(state) == json.dumps(state.sorted_edges())
+    _assert_walk_matches_reference(lineage, 3)

@@ -58,6 +58,8 @@ CORPUS = {
     "pruned_static_star": lambda: gen_static_star(4, 30),
     "pruned_rotating_roots": lambda: gen_rotating_roots(
         seed=1, n=5, d_bound=2, horizon=30),
+    "pruned_expander": lambda: gen_expander(seed=1, n=16, root_size=4,
+                                            horizon=20),
 }
 
 

@@ -395,6 +395,19 @@ class TestCheckDBounded:
         seq = static(3, [(0, 1), (0, 2)], 6)
         assert check_d_bounded(seq, (1, 6), {0}, 1)
 
+    def test_scc_diameter_is_not_the_network_diameter(self):
+        # The root {0, 1} reaches itself in one round but process 3 only in
+        # three, so the members' own diameter is 1 and the network's 3:
+        # check_d_bounded passes the interval, while find_r_st, which bounds
+        # members to every process, lists every round as unbounded.
+        seq = static(4, [(0, 1), (1, 0), (1, 2), (2, 3)], 12)
+        assert scc_causal_diameter(seq, (1, 12), {0, 1})[1] == 1
+        assert network_causal_diameter(seq, (1, 12)) == 3
+        assert check_d_bounded(seq, (1, 12), {0, 1}, 1)
+        report = find_r_st(seq, 1)
+        assert report.unbounded_intervals == [(x, x) for x in range(1, 13)]
+        assert report.r_st is None
+
 
 class TestFindRSt:
     def test_static_three_cycle(self):

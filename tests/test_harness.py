@@ -501,7 +501,7 @@ class TestTraceFile:
     def test_approx_digest_hashes_each_recorded_state(self, tmp_path, make,
                                                       prune):
         # Every round line's approx[p] is the digest of records[r - 1]'s
-        # state of p, recomputed from `sorted_edges` without the cursor: a
+        # state of p, recomputed from `sorted_edges` without the walk: a
         # save that renders a state wrongly, or assembles the digests with
         # rounds or processes swapped, changes a line.
         trace = run(make(), prune=prune)
@@ -577,9 +577,9 @@ def test_state_digests_are_computed_at_save(monkeypatch, tmp_path):
     calls = []
     real = harness.approx_digest
 
-    def counted(state, cursor):
+    def counted(state, edges_json):
         calls.append(state)
-        return real(state, cursor)
+        return real(state, edges_json)
 
     monkeypatch.setattr(harness, "approx_digest", counted)
     sc = gen_stable_window(seed=7, n=6, d_bound=2, r_st=3)
