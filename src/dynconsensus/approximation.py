@@ -16,11 +16,10 @@ state of each round, and no message is built per round.
 Every process estimates the same graph sequence, so the values derived
 from A_p repeat across processes.  `_strong`, a pure function of an
 immutable slice, is a bounded module-level cache that every process
-shares; `_allowed_mask` is cached too, but only a malformed or hand-built
-snapshot reaches it.  The transitions keep a
-state's well-formedness up to date, so a received snapshot is validated by
-four comparisons inline in `approx_absorb`, not a pass over its bits; only
-a snapshot that fails one goes through `_validate_snapshot`'s full check.
+shares.  The transitions keep a state's well-formedness up to date, so a
+received snapshot is validated by four comparisons inline in
+`approx_absorb`, not a pass over its bits; only a snapshot that fails one
+goes through `_validate_snapshot`'s full check.
 The component rule (an empty slice detects the owner, else the strongly
 connected set counts only if it holds the owner) is `_component`, which
 both `detected_component` and the one-pass `in_stable_root` call.
@@ -77,10 +76,6 @@ def _slots(packed, width):
     return slots
 
 
-# `_allowed_mask` is called only by `_validate_snapshot`, which sees only
-# the snapshots that fail `approx_absorb`'s fast path, so only malformed or
-# hand-built snapshots reach it.
-@lru_cache(maxsize=256)
 def _allowed_mask(vertices):
     """Bits of every edge u -> v, u != v, within `vertices`: in shell m,
     u -> m sits at m*m + u and m -> u at m*m + m + u, for u < m."""

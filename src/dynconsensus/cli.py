@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 
@@ -43,56 +44,42 @@ def _fmt(value):
     return str(value)
 
 
-# Generators without a default horizon.
-NEEDS_HORIZON = ("rotating_roots", "static_line", "static_star",
-                 "reversing_line", "two_roots", "short_window", "expander")
+# What a generator parameter takes when its flag is absent; `horizon` takes
+# the generator's own default instead.
+FLAG_DEFAULTS = {"seed": 0, "n": 4, "d_bound": 2, "r_st": 2, "kappa": 3,
+                 "n0": 2, "n1": 2, "root_size": 8}
 
 
-def _build_scenario(args, seed):
-    """The scenario `--gen` makes from the flags.  Some generators fix n or
-    D themselves; an explicit `--n` or `--d` they do not honour is refused,
-    not dropped."""
-    sc = _generate(args, seed)
-    for name, asked, got in (("n", args.n, sc.n), ("D", args.d, sc.d_bound)):
+def _build_scenario(args, i=0):
+    """`adversary.gen_NAME` for `--gen NAME`, called with each parameter it
+    declares read from the flag of that dest; `batch` scenario i adds i to
+    the seed.  A flag it declares no parameter for is refused, not dropped:
+    `--n` or `--d` unless equal to the n or D the generator fixes itself,
+    any other flag whenever given."""
+    gen = getattr(adv, f"gen_{args.gen}", None)
+    if gen is None:
+        raise adv.InfeasibleError(f"unknown generator: {args.gen}")
+    params = inspect.signature(gen).parameters
+    for dest in FLAG_DEFAULTS:
+        if (dest not in params and dest not in ("n", "d_bound")
+                and getattr(args, dest) is not None):
+            raise adv.InfeasibleError(f"--gen {args.gen} does not take "
+                                      f"--{dest.replace('_', '-')}")
+    kwargs = {}
+    for name, param in params.items():
+        value = getattr(args, name)
+        if value is None:
+            value = FLAG_DEFAULTS.get(name, param.default)
+        if value is param.empty:
+            raise adv.InfeasibleError(f"--gen {args.gen} needs --{name}")
+        kwargs[name] = value + i if name == "seed" else value
+    sc = gen(**kwargs)
+    for name, asked, got in (("n", args.n, sc.n),
+                             ("D", args.d_bound, sc.d_bound)):
         if asked is not None and asked != got:
             raise adv.InfeasibleError(f"--gen {args.gen} gives {name}={got}, "
                                       f"not --{name.lower()} {asked}")
     return sc
-
-
-def _generate(args, seed):
-    gen = args.gen
-    n = 4 if args.n is None else args.n
-    d = 2 if args.d is None else args.d
-    if args.horizon is None and gen in NEEDS_HORIZON:
-        raise adv.InfeasibleError(f"--gen {gen} needs --horizon")
-    if gen == "stable_window":
-        return adv.gen_stable_window(
-            seed=seed, n=n, d_bound=d, r_st=args.r_st, horizon=args.horizon,
-        )
-    if gen == "rotating_roots":
-        return adv.gen_rotating_roots(
-            seed=seed, n=n, d_bound=d, horizon=args.horizon
-        )
-    if gen == "static_line":
-        return adv.gen_static_line(n, args.horizon)
-    if gen == "static_star":
-        return adv.gen_static_star(n, args.horizon)
-    if gen == "reversing_line":
-        return adv.gen_reversing_line(n, args.kappa, args.horizon)
-    if gen == "two_roots":
-        return adv.gen_two_roots(args.n0, args.n1, args.horizon)
-    if gen == "complete_then_rings":
-        return adv.gen_complete_then_rings(
-            3 if args.horizon is None else args.horizon
-        )
-    if gen == "short_window":
-        return adv.gen_short_window(
-            n, d, args.horizon, r_st=args.r_st, seed=seed
-        )
-    if gen == "expander":
-        return adv.gen_expander(seed, n, args.root_size, args.horizon)
-    raise adv.InfeasibleError(f"unknown generator: {gen}")
 
 
 def _print_validation(sc):
@@ -111,7 +98,7 @@ def _print_validation(sc):
 
 def cmd_generate(args):
     try:
-        sc = _build_scenario(args, args.seed)
+        sc = _build_scenario(args)
     except ValueError as exc:  # InfeasibleError, or a value Scenario rejects
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -182,7 +169,7 @@ def cmd_batch(args):
         return EXIT_USAGE
     try:
         scenarios = [
-            _build_scenario(args, args.seed + i) for i in range(args.count)
+            _build_scenario(args, i) for i in range(args.count)
         ]
     except ValueError as exc:  # InfeasibleError, or a value Scenario rejects
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -218,18 +205,19 @@ def cmd_report(args):
 
 
 def _add_generator_flags(parser):
-    """The flags `_build_scenario` reads; `batch` scenario i uses seed + i."""
-    parser.add_argument("--gen", required=True)
-    # None: the generator's own n, or 4; its own D, or 2.
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--horizon", type=int, default=None)
-    parser.add_argument("--r-st", dest="r_st", type=int, default=2)
-    parser.add_argument("--kappa", type=int, default=3)
-    parser.add_argument("--n0", type=int, default=2)
-    parser.add_argument("--n1", type=int, default=2)
-    parser.add_argument("--root-size", dest="root_size", type=int, default=8)
+    """The flags `_build_scenario` reads; None means absent from the
+    command line."""
+    parser.add_argument("--gen", required=True, help="one of: " + ", ".join(
+        sorted(name[4:] for name in vars(adv) if name.startswith("gen_"))))
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--d", dest="d_bound", metavar="D", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--horizon", type=int)
+    parser.add_argument("--r-st", dest="r_st", type=int)
+    parser.add_argument("--kappa", type=int)
+    parser.add_argument("--n0", type=int)
+    parser.add_argument("--n1", type=int)
+    parser.add_argument("--root-size", dest="root_size", type=int)
 
 
 def build_parser():

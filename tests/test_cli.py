@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import inspect
 import io
 import json
 import os
@@ -7,8 +9,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynconsensus import adversary
 from dynconsensus.adversary import _is_int
-from dynconsensus.cli import main
+from dynconsensus.cli import build_parser, main
+
+GENERATORS = sorted(name[4:] for name in vars(adversary)
+                    if name.startswith("gen_"))
 
 
 def test_generate_and_run_pass(tmp_path, capsys):
@@ -216,7 +222,7 @@ def test_batch_and_report(tmp_path, capsys):
     assert len(merged.read_text().splitlines()) == 4
 
 
-@pytest.mark.parametrize("flags", [
+BATCH_FLAGS = [
     ["--gen", "stable_window"],
     ["--gen", "rotating_roots", "--horizon", "15"],
     ["--gen", "static_line", "--horizon", "12"],
@@ -226,7 +232,14 @@ def test_batch_and_report(tmp_path, capsys):
     ["--gen", "complete_then_rings"],
     ["--gen", "short_window", "--n", "6", "--horizon", "12"],
     ["--gen", "expander", "--n", "16", "--root-size", "4", "--horizon", "12"],
-], ids=lambda flags: flags[1])
+]
+
+
+def test_batch_flags_cover_every_generator():
+    assert sorted(flags[1] for flags in BATCH_FLAGS) == GENERATORS
+
+
+@pytest.mark.parametrize("flags", BATCH_FLAGS, ids=lambda flags: flags[1])
 def test_batch_every_generator(flags, tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = main(["batch"] + flags + ["--count", "2", "--full",
@@ -235,6 +248,20 @@ def test_batch_every_generator(flags, tmp_path, capsys):
     assert code in (0, 1)
     assert "Traceback" not in err
     assert len(out.read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("flags, seeds", [
+    (["--gen", "stable_window", "--seed", "5"], ["5", "6", "7"]),
+    (["--gen", "rotating_roots", "--horizon", "6"], ["0", "1", "2"]),
+    # A generator without a seed makes the same scenario each time.
+    (["--gen", "static_star", "--horizon", "6"], ["0", "0", "0"]),
+], ids=["seeded", "default-seed", "unseeded"])
+def test_batch_scenario_i_uses_seed_plus_i(flags, seeds, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["batch", *flags, "--count", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        assert [row["seed"] for row in csv.DictReader(fh)] == seeds
 
 
 def test_batch_needs_horizon(tmp_path, capsys):
@@ -369,11 +396,33 @@ def test_identical_invocations_identical_bytes(tmp_path, capsys):
      "gives n=5, not --n 4"),
     (["--gen", "static_line", "--n", "5", "--d", "4", "--horizon", "10"], None),
     (["--gen", "complete_then_rings", "--n", "4", "--d", "1"], None),
-], ids=["line-d", "rings-n", "two-roots-n", "line-d-fixed", "rings-fixed"])
+    (["--gen", "static_star", "--kappa", "9"],
+     "--gen static_star does not take --kappa"),
+    (["--gen", "expander", "--r-st", "3"],
+     "--gen expander does not take --r-st"),
+    (["--gen", "two_roots", "--root-size", "3"],
+     "--gen two_roots does not take --root-size"),
+    (["--gen", "static_line", "--seed", "3"],
+     "--gen static_line does not take --seed"),
+    (["--gen", "stable_window", "--n0", "2"],
+     "--gen stable_window does not take --n0"),
+    # The refusals come in this order: unknown generator, unread flag,
+    # missing --horizon, the generator's own checks, --n/--d.
+    (["--gen", "nope", "--kappa", "9"], "unknown generator: nope"),
+    (["--gen", "static_line", "--seed", "3", "--n", "5", "--d", "1"],
+     "does not take --seed"),
+    (["--gen", "static_line", "--n", "5", "--d", "1"], "needs --horizon"),
+    (["--gen", "static_line", "--n", "1", "--d", "1", "--horizon", "5"],
+     "need n >= 2"),
+], ids=["line-d", "rings-n", "two-roots-n", "line-d-fixed", "rings-fixed",
+        "star-kappa", "expander-r-st", "two-roots-root-size", "line-seed",
+        "window-n0", "unknown-first", "unread-before-horizon",
+        "horizon-before-d", "own-check-before-d"])
 def test_flags_a_generator_fixes(command, flags, refused, tmp_path,
                                  monkeypatch, capsys):
     # An explicit --n or --d that the generator cannot honour is refused;
-    # one equal to the value it fixes is accepted.
+    # one equal to the value it fixes is accepted.  Any other flag the
+    # generator declares no parameter for is refused whenever it is given.
     monkeypatch.chdir(tmp_path)
     extra = ["--count", "2"] if command == "batch" else []
     code = main([command] + flags + extra + ["--out", "out"])
@@ -385,6 +434,49 @@ def test_flags_a_generator_fixes(command, flags, refused, tmp_path,
     else:
         assert code in (0, 1) and "Traceback" not in captured.err
         assert (tmp_path / "out").exists()
+
+
+def _generator_dests(command):
+    extra = ["--count", "1"] if command == "batch" else []
+    args = build_parser().parse_args([command, "--gen", "x", "--out", "o",
+                                      *extra])
+    return set(vars(args)) - {"command", "func", "gen", "out", "count",
+                              "full"}
+
+
+@pytest.mark.parametrize("command", ["generate", "batch"])
+def test_every_generator_parameter_is_a_flag(command):
+    # `--gen NAME` passes each parameter of `gen_NAME` by keyword from the
+    # flag of that dest, so a parameter with no flag could not be set.
+    dests = _generator_dests(command)
+    for name in GENERATORS:
+        params = inspect.signature(getattr(adversary, "gen_" + name)).parameters
+        assert set(params) <= dests, name
+
+
+@pytest.mark.parametrize("name", GENERATORS + ["nope", "", "scenario_load"])
+def test_gen_accepts_exactly_the_adversary_generators(name, tmp_path, capsys):
+    out = tmp_path / "sc.json"
+    code = main(["generate", "--gen", name, "--horizon", "0",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()  # every generator refuses T = 0
+    assert (err == f"infeasible: unknown generator: {name}\n") == (
+        name not in GENERATORS)
+
+
+def test_gen_help_lists_the_generators(capsys):
+    assert main(["generate", "--help"]) == 0
+    assert "one of: " + ", ".join(GENERATORS) in " ".join(
+        capsys.readouterr().out.split())
+
+
+def test_complete_then_rings_takes_the_library_horizon(tmp_path, capsys):
+    sc = tmp_path / "rings.json"
+    assert main(["generate", "--gen", "complete_then_rings",
+                 "--out", str(sc)]) == 0
+    assert "T=3" in capsys.readouterr().out
+    assert adversary.scenario_load(sc).horizon == 3
 
 
 def test_batch_negative_count_exits_2(tmp_path, capsys):
