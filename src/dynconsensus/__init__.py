@@ -5,16 +5,13 @@ from .graphs import (
     INFINITY,
     GraphSequence,
     MultipleRootsError,
-    NotVertexStableError,
     OutOfRangeError,
     RoundGraph,
     StabilityReport,
     causal_distance,
-    check_d_bounded,
     find_r_st,
     network_causal_diameter,
     root_components,
-    scc_causal_diameter,
     scc_decompose,
     vertex_stable_intervals,
 )

@@ -476,7 +476,7 @@ def gen_expander(seed, n, root_size, horizon):
     )
 
     root = frozenset(range(root_size))
-    measured = round_diameter(seq, 1, root)
+    measured = round_diameter(seq, 1, root)[0]
     if measured == float("inf"):
         raise InfeasibleError("horizon too short to measure the diameter")
     d_bound = min(max(1, int(measured)), n - 1)

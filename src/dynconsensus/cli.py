@@ -53,13 +53,18 @@ FLAG_DEFAULTS = {"seed": 0, "n": 4, "d_bound": 2, "r_st": 2, "kappa": 3,
 def _build_scenario(args, i=0):
     """`adversary.gen_NAME` for `--gen NAME`, called with each parameter it
     declares read from the flag of that dest; `batch` scenario i adds i to
-    the seed.  A flag it declares no parameter for is refused, not dropped:
-    `--n` or `--d` unless equal to the n or D the generator fixes itself,
-    any other flag whenever given."""
+    the seed, and is refused for i > 0 when there is no seed.  A flag it
+    declares no parameter for is refused, not dropped: `--n` or `--d` unless
+    equal to the n or D the generator fixes itself, any other flag whenever
+    given."""
     gen = getattr(adv, f"gen_{args.gen}", None)
     if gen is None:
         raise adv.InfeasibleError(f"unknown generator: {args.gen}")
     params = inspect.signature(gen).parameters
+    if i and "seed" not in params:
+        raise adv.InfeasibleError(f"--gen {args.gen} takes no seed, so "
+                                  f"--count {args.count} would repeat one "
+                                  f"scenario")
     for dest in FLAG_DEFAULTS:
         if (dest not in params and dest not in ("n", "d_bound")
                 and getattr(args, dest) is not None):

@@ -20,10 +20,6 @@ class OutOfRangeError(ValueError):
     """Round index outside the sequence horizon."""
 
 
-class NotVertexStableError(ValueError):
-    """The given members do not form the same SCC in every round of the interval."""
-
-
 class MultipleRootsError(ValueError):
     """An operation requiring a unique root component hit a multi-root round."""
 
@@ -132,14 +128,19 @@ class StabilityReport:
     assumption-clause violations, the root components of every round
     (roots[r - 1] is root_components of round r), and the maximal
     single-root vertex-stable intervals longer than D that are D-bounded,
-    as (a, b, members).  Its unbounded intervals are the minimal ones,
-    (x, x + D - 1) ascending: every other one contains one of them."""
+    as (a, b, members).  D-bounded bounds the diameter from the root's
+    members to every process; `unbounded_intervals` are the minimal
+    intervals that are not, (x, x + D - 1) ascending: every other one
+    contains one of them.  `members_unbounded_intervals` are the same under
+    the members' own diameter, members to members, the clause the lock
+    depends on."""
 
     r_st: int | None
     multi_root_rounds: list = field(default_factory=list)
     unbounded_intervals: list = field(default_factory=list)
     roots: tuple = ()
     d_bounded_intervals: list = field(default_factory=list)
+    members_unbounded_intervals: list = field(default_factory=list)
 
     @property
     def assumption_holds(self):
@@ -241,19 +242,20 @@ def causal_distance(seq, r, p, q):
     return causal_reach(seq, r, p)[q]
 
 
-def round_diameter(seq, x, sources, targets=None, max_steps=None):
-    """Largest cd_x(p, q) over p in sources and q in targets (default: every
-    process); chains may leave both sets.  INFINITY as soon as one chain does
-    not complete within max_steps (default the remaining horizon)."""
-    worst = 0
+def round_diameter(seq, x, sources, max_steps=None):
+    """The pair of largest cd_x(p, q) over p in sources: over q any process,
+    and over q in sources; chains may leave the sources.  Each is INFINITY as
+    soon as one chain does not complete within max_steps (default the
+    remaining horizon).  The second is at most the first, so the search
+    stops once it is INFINITY."""
+    every = own = 0
     for p in sources:
         dist = causal_reach(seq, x, p, max_steps=max_steps)
-        d = max(dist) if targets is None else max(dist[q] for q in targets)
-        if d == INFINITY:
-            return INFINITY
-        if d > worst:
-            worst = d
-    return worst
+        every = max(every, max(dist))
+        own = max(own, max(dist[q] for q in sources))
+        if own == INFINITY:
+            break
+    return every, own
 
 
 def _interval_diameter(per_round, a, b):
@@ -275,33 +277,6 @@ def _is_d_bounded(per_round, a, b, d_bound):
             and _interval_diameter(per_round, a, b) <= d_bound)
 
 
-def scc_causal_diameter(seq, interval, members):
-    """Causal diameters of a vertex-stable SCC over interval [r, s]: the pair
-    (per_round, interval_diameter), per_round mapping each round x in [r, s]
-    to the largest cd_x between members."""
-    r, s = interval
-    if not 1 <= r <= s <= seq.horizon:
-        raise OutOfRangeError(f"interval {interval} outside [1, {seq.horizon}]")
-    members = frozenset(members)
-    if not members:
-        raise ValueError("members must be nonempty")
-    for v in members:
-        if not 0 <= v < seq.n:
-            raise ValueError(f"process {v} out of range")
-    mask = sum(1 << v for v in members)
-    anchor = min(members)
-    for x, g in enumerate(seq.rounds[r - 1:s], start=r):
-        scc = _closure(g.out_masks(), anchor) & _closure(g.in_masks(), anchor)
-        if scc != mask:
-            raise NotVertexStableError(
-                f"members are not a vertex-stable SCC at round {x}"
-            )
-    per_round = {
-        x: round_diameter(seq, x, members, members) for x in range(r, s + 1)
-    }
-    return per_round, _interval_diameter(per_round, r, s)
-
-
 def network_causal_diameter(seq, interval):
     """Interval network causal diameter; requires a single root per round."""
     r, s = interval
@@ -316,7 +291,7 @@ def network_causal_diameter(seq, interval):
             )
         # Diameters larger than the remaining window cannot qualify anyway,
         # so the reachability search is capped at s - x + 1 steps.
-        per_round[x] = round_diameter(seq, x, roots[0], max_steps=s - x + 1)
+        per_round[x] = round_diameter(seq, x, roots[0], max_steps=s - x + 1)[0]
     return _interval_diameter(per_round, r, s)
 
 
@@ -340,17 +315,6 @@ def vertex_stable_intervals(seq):
     return _stable_runs(root_components(g) for g in seq.rounds)
 
 
-def check_d_bounded(seq, interval, members, d_bound):
-    """D-boundedness of a vertex-stable SCC: interval diameter and the
-    late-start diameter at round s - D + 1 both at most D.  The diameter is
-    the members' own, members to members (`scc_causal_diameter`), not the
-    members-to-every-process diameter that `find_r_st` bounds."""
-    if d_bound < 1:
-        raise ValueError("D must be >= 1")
-    per_round, _ = scc_causal_diameter(seq, interval, members)
-    return _is_d_bounded(per_round, *interval, d_bound)
-
-
 def find_r_st(seq, d_bound):
     """Search for the earliest stability window of Assumption-1 shape, and
     collect the oracle's facts about the sequence on the way.
@@ -359,12 +323,13 @@ def find_r_st(seq, d_bound):
     lies within the horizon and hosts a D-bounded vertex-stable root
     component (4D + 2 rounds, the minimum satisfying d > 4D).  Here the
     diameter runs from the root's members to every process, as in
-    `network_causal_diameter`, not members to members as in
-    `check_d_bounded`.  Violations of
-    the single-root clause and of "every stable root interval of length >= D
-    is D-bounded" are reported as fields, not errors.  Every round is
-    decomposed into root components exactly once, and each single-root run
-    is checked in passes linear in its length (O(D) per window start).
+    `network_causal_diameter`.  Violations of the single-root clause and of
+    "every stable root interval of length >= D is D-bounded" are reported
+    as fields, not errors, the latter under both the network diameter and
+    the members-to-members one, from one reachability search per round.
+    Every round is decomposed into root components exactly once, and each
+    single-root run is checked in passes linear in its length (O(D) per
+    window start).
     """
     if d_bound < 1:
         raise ValueError("D must be >= 1")
@@ -384,18 +349,21 @@ def find_r_st(seq, d_bound):
             continue
         # Capped at the end of this stable run: any propagation that
         # qualifies for a sub-interval must finish inside it.
-        per_round = {
-            x: round_diameter(seq, x, members, max_steps=b0 - x + 1)
-            for x in range(a0, b0 + 1)
-        }
+        per_round, own = {}, {}
+        for x in range(a0, b0 + 1):
+            per_round[x], own[x] = round_diameter(
+                seq, x, members, max_steps=b0 - x + 1)
         # [x, x + D - 1] is not D-bounded iff per_round[x] > D.  If no x in
         # [a, b - D + 1] has that, round b - D + 1 and every other round
         # completing by b have diameters <= D, so [a, b] is D-bounded: these
         # are the minimal intervals that are not, and the rest contain one.
+        # The same holds for the members' own diameters.
+        starts = range(a0, b0 - d_bound + 2)
         report.unbounded_intervals += [
-            (x, x + d_bound - 1)
-            for x in range(a0, b0 - d_bound + 2)
-            if per_round[x] > d_bound
+            (x, x + d_bound - 1) for x in starts if per_round[x] > d_bound
+        ]
+        report.members_unbounded_intervals += [
+            (x, x + d_bound - 1) for x in starts if own[x] > d_bound
         ]
         if report.r_st is None:
             report.r_st = next((

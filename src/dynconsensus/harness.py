@@ -468,7 +468,10 @@ def check_approx_invariants(trace):
 def check_lock_discipline(trace):
     """Properties of the first decision: lock timing, oracle-confirmed
     stability around the lock round, members locking together, and one
-    proposal value at the decision round."""
+    proposal value at the decision round.  Skipped when a members-to-members
+    unbounded interval of the oracle overlaps the lock window
+    [lock_round - D - 1, lock_round + D], since the lock relies on that
+    clause of Assumption 1."""
     sc = trace.scenario
     if not trace.decisions:
         return CheckerVerdict("lock", "skipped",
@@ -484,6 +487,13 @@ def check_lock_discipline(trace):
     final = trace.records[rf - 1].cons
     lock_round = final[p0].lock_round
 
+    lo, hi = lock_round - d - 1, lock_round + d
+    for a, b in sc.facts.members_unbounded_intervals:
+        if a <= hi and b >= lo:
+            return CheckerVerdict("lock", "skipped", witness={
+                "reason": "assumption_violated", "clause": "members",
+                "interval": [a, b]})
+
     def fail(rule, **witness):
         return CheckerVerdict(
             "lock", "fail",
@@ -493,8 +503,6 @@ def check_lock_discipline(trace):
 
     if not lock_round + d <= rf <= lock_round + 2 * d:
         return fail("decision_timing")
-
-    lo, hi = lock_round - d - 1, lock_round + d
     if lo < 1 or hi > sc.horizon:
         return fail("window_out_of_range", window=[lo, hi])
     members = roots[lo - 1][0]

@@ -20,7 +20,6 @@ from dynconsensus import (
     RoundGraph,
     causal_distance,
     check_approx_invariants,
-    check_d_bounded,
     find_r_st,
     gen_complete_then_rings,
     gen_expander,
@@ -32,9 +31,9 @@ from dynconsensus import (
     gen_two_roots,
     run,
     run_checkers,
-    scc_causal_diameter,
     scenario_save,
 )
+from dynconsensus.graphs import round_diameter
 from dynconsensus.harness import check_agreement, check_validity
 
 
@@ -157,8 +156,8 @@ def test_acceptance_4_causal_diameter_bounds():
     ok = True
     for _ in range(200):
         seq, k, horizon = _random_stable_scc_instance(rng)
-        _, diameter = scc_causal_diameter(seq, (1, horizon), set(range(k)))
-        ok = ok and diameter <= k - 1
+        # Every sub-interval of length >= |C| - 1 is (|C| - 1)-bounded.
+        ok = ok and find_r_st(seq, k - 1).members_unbounded_intervals == []
         for r in range(1, horizon):
             for p in range(seq.n):
                 for q in range(seq.n):
@@ -176,13 +175,11 @@ def test_acceptance_4_causal_diameter_bounds():
 
 def test_acceptance_5_worked_example():
     sc = gen_complete_then_rings()
-    per_round, diameter = scc_causal_diameter(
-        sc.seq, (1, 3), frozenset(range(4))
-    )
-    ok = diameter == 1
+    members = frozenset(range(4))
+    ok = round_diameter(sc.seq, 1, members)[1] == 1
     # Propagation starting at round 2 does not finish by round 3.
-    ok = ok and per_round[2] == INFINITY
-    ok = ok and not check_d_bounded(sc.seq, (1, 3), frozenset(range(4)), 1)
+    ok = ok and round_diameter(sc.seq, 2, members, max_steps=2)[1] == INFINITY
+    ok = ok and sc.facts.members_unbounded_intervals == [(2, 2), (3, 3)]
     _verdict(5, "complete-then-rings: D(C^[1,3])=1, round-2 start incomplete", ok)
 
 

@@ -241,25 +241,34 @@ def test_batch_flags_cover_every_generator():
 
 @pytest.mark.parametrize("flags", BATCH_FLAGS, ids=lambda flags: flags[1])
 def test_batch_every_generator(flags, tmp_path, capsys):
+    # Two seeds where the generator takes one; one scenario otherwise.
+    gen = getattr(adversary, "gen_" + flags[1])
+    count = 2 if "seed" in inspect.signature(gen).parameters else 1
     out = tmp_path / "report.csv"
-    code = main(["batch"] + flags + ["--count", "2", "--full",
+    code = main(["batch"] + flags + ["--count", str(count), "--full",
                                      "--out", str(out)])
     err = capsys.readouterr().err
     assert code in (0, 1)
     assert "Traceback" not in err
-    assert len(out.read_text().splitlines()) == 1 + 2
+    assert len(out.read_text().splitlines()) == 1 + count
 
 
 @pytest.mark.parametrize("flags, seeds", [
     (["--gen", "stable_window", "--seed", "5"], ["5", "6", "7"]),
     (["--gen", "rotating_roots", "--horizon", "6"], ["0", "1", "2"]),
-    # A generator without a seed makes the same scenario each time.
-    (["--gen", "static_star", "--horizon", "6"], ["0", "0", "0"]),
+    # A generator without a seed would make the same scenario each time.
+    (["--gen", "static_star", "--horizon", "6"], None),
 ], ids=["seeded", "default-seed", "unseeded"])
 def test_batch_scenario_i_uses_seed_plus_i(flags, seeds, tmp_path, capsys):
     out = tmp_path / "report.csv"
-    assert main(["batch", *flags, "--count", "3", "--out", str(out)]) == 0
-    capsys.readouterr()
+    code = main(["batch", *flags, "--count", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    if seeds is None:
+        assert code == 2 and not out.exists()
+        assert err == ("infeasible: --gen static_star takes no seed, so "
+                       "--count 3 would repeat one scenario\n")
+        return
+    assert code == 0
     with open(out, newline="") as fh:
         assert [row["seed"] for row in csv.DictReader(fh)] == seeds
 
@@ -424,7 +433,7 @@ def test_flags_a_generator_fixes(command, flags, refused, tmp_path,
     # one equal to the value it fixes is accepted.  Any other flag the
     # generator declares no parameter for is refused whenever it is given.
     monkeypatch.chdir(tmp_path)
-    extra = ["--count", "2"] if command == "batch" else []
+    extra = ["--count", "1"] if command == "batch" else []
     code = main([command] + flags + extra + ["--out", "out"])
     captured = capsys.readouterr()
     if refused:
@@ -645,8 +654,8 @@ def _report_csv():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "r.csv")
         with contextlib.redirect_stdout(io.StringIO()):
-            main(["batch", "--gen", "static_star", "--n", "3", "--horizon",
-                  "4", "--count", "2", "--out", path])
+            main(["batch", "--gen", "stable_window", "--n", "3", "--d", "1",
+                  "--count", "2", "--out", path])
         with open(path, newline="") as fh:
             return fh.read()
 

@@ -7,15 +7,12 @@ from dynconsensus import (
     INFINITY,
     GraphSequence,
     MultipleRootsError,
-    NotVertexStableError,
     OutOfRangeError,
     RoundGraph,
     causal_distance,
-    check_d_bounded,
     find_r_st,
     network_causal_diameter,
     root_components,
-    scc_causal_diameter,
     scc_decompose,
     vertex_stable_intervals,
 )
@@ -234,17 +231,19 @@ class TestCausalDistance:
 
 
 class TestSccCausalDiameter:
+    # The second value of round_diameter: the members' own diameter.
     def test_static_three_cycle(self):
         seq = static(3, cycle_edges(3), 5)
-        per_round, diameter = scc_causal_diameter(seq, (1, 3), {0, 1, 2})
-        assert diameter == 2
-        assert per_round == {1: 2, 2: 2, 3: 2}
+        own = [round_diameter(seq, x, {0, 1, 2})[1] for x in range(1, 6)]
+        assert own == [2, 2, 2, 2, INFINITY]
+        assert find_r_st(seq, 2).members_unbounded_intervals == []
+        assert find_r_st(seq, 1).members_unbounded_intervals == [
+            (x, x) for x in range(1, 6)
+        ]
 
     def test_singleton(self):
         seq = static(2, [(0, 1)], 5)
-        assert scc_causal_diameter(seq, (1, 4), {0}) == (
-            {1: 1, 2: 1, 3: 1, 4: 1}, 1
-        )
+        assert [round_diameter(seq, x, {0}) for x in range(1, 6)] == [(1, 1)] * 5
 
     def test_complete_then_rings(self):
         complete = RoundGraph(
@@ -252,28 +251,10 @@ class TestSccCausalDiameter:
         )
         ring = RoundGraph(4, cycle_edges(4))
         seq = GraphSequence(4, [complete, ring, ring])
-        per_round, diameter = scc_causal_diameter(seq, (1, 3), {0, 1, 2, 3})
-        assert diameter == 1
+        members = {0, 1, 2, 3}
+        assert round_diameter(seq, 1, members) == (1, 1)
         # Propagation starting at round 2 cannot finish within the interval.
-        assert per_round[2] == INFINITY
-
-    def test_not_vertex_stable(self):
-        seq = GraphSequence(
-            3, [RoundGraph(3, cycle_edges(3)), RoundGraph(3, [(0, 1)])]
-        )
-        with pytest.raises(NotVertexStableError):
-            scc_causal_diameter(seq, (1, 2), {0, 1, 2})
-
-    @pytest.mark.parametrize(
-        "members, bad", [({5}, 5), ({-1}, -1), ({0, 3}, 3)],
-        ids=["5", "-1", "0-and-3"],
-    )
-    def test_member_out_of_range(self, members, bad):
-        seq = static(3, cycle_edges(3), 3)
-        with pytest.raises(ValueError, match=f"^process {bad} out of range$"):
-            scc_causal_diameter(seq, (1, 2), members)
-        with pytest.raises(ValueError, match=f"^process {bad} out of range$"):
-            check_d_bounded(seq, (1, 2), members, 1)
+        assert round_diameter(seq, 2, members) == (INFINITY, INFINITY)
 
     def test_diameter_bound_for_stable_sccs(self):
         # For |C| >= 2 and s >= r + |C| - 2, D(C^I) <= |C| - 1.
@@ -294,8 +275,8 @@ class TestSccCausalDiameter:
                         edges.add((u, v))
                 rounds.append(RoundGraph(k, edges))
             seq = GraphSequence(k, rounds)
-            _, diameter = scc_causal_diameter(seq, (1, horizon), set(range(k)))
-            assert diameter <= k - 1
+            assert round_diameter(seq, 1, set(range(k)))[1] <= k - 1
+            assert find_r_st(seq, k - 1).members_unbounded_intervals == []
 
 
 class TestNetworkCausalDiameter:
@@ -379,9 +360,12 @@ class TestVertexStableIntervals:
 
 
 class TestCheckDBounded:
+    # D-boundedness of the root's members to members, as find_r_st reports it.
     def test_long_interval_with_d_n_minus_one(self):
         seq = static(4, cycle_edges(4), 10)
-        assert check_d_bounded(seq, (1, 10), {0, 1, 2, 3}, 3)
+        report = find_r_st(seq, 3)
+        assert report.members_unbounded_intervals == []
+        assert report.d_bounded_intervals == [(1, 10, frozenset(range(4)))]
 
     def test_complete_then_rings_not_1_bounded(self):
         complete = RoundGraph(
@@ -389,22 +373,24 @@ class TestCheckDBounded:
         )
         ring = RoundGraph(4, cycle_edges(4))
         seq = GraphSequence(4, [complete, ring, ring])
-        assert not check_d_bounded(seq, (1, 3), {0, 1, 2, 3}, 1)
+        assert find_r_st(seq, 1).members_unbounded_intervals == [(2, 2), (3, 3)]
 
     def test_singleton_root_always_1_bounded(self):
         seq = static(3, [(0, 1), (0, 2)], 6)
-        assert check_d_bounded(seq, (1, 6), {0}, 1)
+        report = find_r_st(seq, 1)
+        assert report.members_unbounded_intervals == []
+        assert report.d_bounded_intervals == [(1, 6, frozenset({0}))]
 
     def test_scc_diameter_is_not_the_network_diameter(self):
         # The root {0, 1} reaches itself in one round but process 3 only in
-        # three, so the members' own diameter is 1 and the network's 3:
-        # check_d_bounded passes the interval, while find_r_st, which bounds
-        # members to every process, lists every round as unbounded.
+        # three, so the members' own diameter is 1 and the network's 3: the
+        # members clause holds on every interval, while the network clause
+        # fails on every round.
         seq = static(4, [(0, 1), (1, 0), (1, 2), (2, 3)], 12)
-        assert scc_causal_diameter(seq, (1, 12), {0, 1})[1] == 1
+        assert round_diameter(seq, 1, {0, 1}) == (3, 1)
         assert network_causal_diameter(seq, (1, 12)) == 3
-        assert check_d_bounded(seq, (1, 12), {0, 1}, 1)
         report = find_r_st(seq, 1)
+        assert report.members_unbounded_intervals == []
         assert report.unbounded_intervals == [(x, x) for x in range(1, 13)]
         assert report.r_st is None
 
@@ -434,14 +420,29 @@ class TestFindRSt:
         assert find_r_st(seq, 2).r_st is None
 
 
+def quadratic_search(per_round, a0, b0, d_bound):
+    """Every sub-interval [a, b] of length D or more of the stable run
+    [a0, b0], checked one by one with the start extended leftwards from each
+    end, as (a, b, whether it is D-bounded under the per-round diameters)."""
+    for b in range(a0 + d_bound - 1, b0 + 1):
+        best = 0
+        for a in range(b, a0 - 1, -1):
+            v = per_round[a]
+            if a + v - 1 <= b and v > best:
+                best = v
+            if b - a + 1 >= d_bound:
+                yield a, b, ((best or INFINITY) <= d_bound
+                             and per_round[b - d_bound + 1] <= d_bound)
+
+
 def reference_find_r_st(seq, d_bound):
-    """The quadratic search find_r_st once made: every sub-interval of length
-    D or more of every single-root stable run, checked one by one with the
-    start extended leftwards from each end.  Returns (r_st,
-    multi_root_rounds, unbounded_intervals, d_bounded_intervals), the
-    unbounded list holding every sub-interval that is not D-bounded."""
+    """The quadratic search find_r_st once made, over every single-root
+    stable run.  Returns (r_st, multi_root_rounds, unbounded_intervals,
+    d_bounded_intervals, members_unbounded_intervals), each unbounded list
+    holding every sub-interval that is not D-bounded.  The members' own
+    diameters come from causal_distance over member pairs."""
     window_len = 4 * d_bound + 2
-    r_st, multi, unbounded, bounded = None, [], [], []
+    r_st, multi, unbounded, bounded, own_unbounded = None, [], [], [], []
     for a0, b0, members in vertex_stable_intervals(seq):
         if members is None:
             multi.extend(range(a0, b0 + 1))
@@ -449,27 +450,27 @@ def reference_find_r_st(seq, d_bound):
         if b0 - a0 + 1 < d_bound:
             continue
         per_round = {
-            x: round_diameter(seq, x, members, max_steps=b0 - x + 1)
+            x: round_diameter(seq, x, members, max_steps=b0 - x + 1)[0]
             for x in range(a0, b0 + 1)
         }
-        for b in range(a0 + d_bound - 1, b0 + 1):
-            best = 0
-            for a in range(b, a0 - 1, -1):
-                v = per_round[a]
-                if a + v - 1 <= b and v > best:
-                    best = v
-                length = b - a + 1
-                if length < d_bound:
-                    continue
-                diameter = best or INFINITY
-                if diameter > d_bound or per_round[b - d_bound + 1] > d_bound:
-                    unbounded.append((a, b))
-                    continue
-                if length == window_len and r_st is None:
-                    r_st = a
-                if (a, b) == (a0, b0) and length > d_bound:
-                    bounded.append((a0, b0, members))
-    return r_st, multi, unbounded, bounded
+        for a, b, ok in quadratic_search(per_round, a0, b0, d_bound):
+            if not ok:
+                unbounded.append((a, b))
+                continue
+            if b - a + 1 == window_len and r_st is None:
+                r_st = a
+            if (a, b) == (a0, b0) and b - a + 1 > d_bound:
+                bounded.append((a0, b0, members))
+        own = {
+            x: max(causal_distance(seq, x, p, q)
+                   for p in members for q in members)
+            for x in range(a0, b0 + 1)
+        }
+        own_unbounded += [
+            (a, b)
+            for a, b, ok in quadratic_search(own, a0, b0, d_bound) if not ok
+        ]
+    return r_st, multi, unbounded, bounded, own_unbounded
 
 
 def minimal_intervals(intervals):
@@ -488,7 +489,8 @@ def minimal_intervals(intervals):
 class TestFindRStReference:
     def test_matches_the_quadratic_search(self):
         # Every fact equals the one-by-one search, except that only the
-        # minimal intervals that are not D-bounded are kept.
+        # minimal intervals that are not D-bounded are kept, under both the
+        # network diameter and the members' own.
         from dynconsensus import (
             gen_complete_then_rings, gen_expander,
             gen_reversing_line, gen_rotating_roots, gen_short_window,
@@ -509,20 +511,26 @@ class TestFindRStReference:
             gen_expander(1, 16, 4, 16),
         ] + [gen_complete_then_rings(h) for h in range(2, 30)]
         cases += [(sc.seq, sc.d_bound) for sc in family]
-        violating = found = 0
+        violating = found = members_violating = only_network = 0
         for seq, d_bound in cases:
-            r_st, multi, unbounded, bounded = reference_find_r_st(seq, d_bound)
+            r_st, multi, unbounded, bounded, own_unbounded = (
+                reference_find_r_st(seq, d_bound))
             report = find_r_st(seq, d_bound)
             assert report.r_st == r_st
             assert report.multi_root_rounds == multi
             assert report.d_bounded_intervals == bounded
             assert report.unbounded_intervals == minimal_intervals(unbounded)
+            assert report.members_unbounded_intervals == minimal_intervals(
+                own_unbounded)
             assert report.assumption_holds == (
                 r_st is not None and not multi and not unbounded
             )
             violating += bool(unbounded)
             found += r_st is not None
+            members_violating += bool(own_unbounded)
+            only_network += bool(unbounded) and not own_unbounded
         assert violating >= 500 and found >= 100
+        assert members_violating >= 400 and only_network >= 150
 
     def test_complete_then_rings_list_is_linear(self):
         # One entry per ring round (D = 1); the quadratic search kept all

@@ -460,6 +460,25 @@ class TestCheckers:
         trace = run(gen_rotating_roots(seed=3, n=4, d_bound=2, horizon=15))
         assert check_lock_discipline(trace).status == "skipped"
 
+    def test_lock_discipline_skipped_where_the_members_clause_fails(self):
+        # The first draw of the random corpus below: two root members do not
+        # lock, and the members' own propagation from round 11, inside the
+        # lock window, takes more than D rounds.
+        rng = random.Random(7)
+        seq, d = sticky_sequence(rng)
+        inputs = tuple(rng.randint(0, 2) for _ in range(seq.n))
+        sc = Scenario(d_bound=d, inputs=inputs, seq=seq)
+        trace = run(sc)
+        verdict = check_lock_discipline(trace)
+        assert verdict.status == "skipped"
+        assert verdict.witness == {"reason": "assumption_violated",
+                                   "clause": "members", "interval": [11, 11]}
+        assert (11, 11) in sc.facts.members_unbounded_intervals
+        sc.facts.members_unbounded_intervals.clear()
+        verdict = check_lock_discipline(trace)
+        assert verdict.status == "fail"
+        assert verdict.witness["rule"] == "members_not_locked"
+
 
 class TestTraceFile:
     def test_jsonl_shape(self, tmp_path):
@@ -902,10 +921,12 @@ def test_run_that_does_not_prune_fails_the_cutoff_rule(monkeypatch):
 def test_random_sequences_fail_only_where_the_assumption_fails():
     # The oracle classifies 600 random single-root sequences against
     # Assumption 1.  Where it holds, no checker fails.  Where it does not,
-    # the approximation layer, agreement and validity still hold; the lock
-    # discipline and the termination bound are promised only under it.
+    # the approximation layer, agreement and validity still hold, and the
+    # lock discipline holds or is skipped where the members-to-members
+    # clause fails around the lock; the termination bound is promised only
+    # under the assumption.
     rng = random.Random(7)
-    clean = violating = 0
+    clean = violating = lock_skips = 0
     for i in range(600):
         seq, d = sticky_sequence(rng)
         inputs = tuple(rng.randint(0, 2) for _ in range(seq.n))
@@ -918,6 +939,11 @@ def test_random_sequences_fail_only_where_the_assumption_fails():
         else:
             violating += 1
             failed = [v for v in verdicts if v.status == "fail"
-                      and v.name in ("approx", "agreement", "validity")]
+                      and v.name != "termination"]
         assert not failed, (i, failed)
+        lock_skips += any(
+            v.name == "lock" and v.status == "skipped"
+            and v.witness["reason"] == "assumption_violated"
+            for v in verdicts)
     assert clean >= 50 and violating >= 400, (clean, violating)
+    assert lock_skips > 0
