@@ -70,14 +70,14 @@ class Scenario:
 
 
 def scenario_to_dict(sc):
+    """The JSON form of a scenario.  Each round's edges are sorted (p, q)
+    tuples, which JSON encodes as [p, q] arrays."""
     return {
         "n": sc.n,
         "D": sc.d_bound,
         "horizon": sc.horizon,
         "inputs": list(sc.inputs),
-        "rounds": [
-            [[p, q] for p, q in g.sorted_edges()] for g in sc.seq.rounds
-        ],
+        "rounds": [g.sorted_edges() for g in sc.seq.rounds],
         "meta": {
             "generator": None,
             "seed": None,
@@ -123,7 +123,9 @@ def scenario_from_dict(data):
     for i, edges in enumerate(rounds, start=1):
         if not isinstance(edges, list):
             raise ScenarioParseError(f"rounds[{i}]: edge set must be a list")
-        if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        # Tuples come from `scenario_to_dict`, lists from JSON.
+        if not all(isinstance(e, (list, tuple)) and len(e) == 2
+                   for e in edges):
             raise ScenarioParseError(f"rounds[{i}]: edge must be a [u, v] pair")
         if not all(_is_int(p) and _is_int(q) for p, q in edges):
             raise ScenarioParseError(

@@ -156,8 +156,10 @@ def _closure(masks, v):
     seen = frontier = 1 << v
     while frontier:
         step = 0
-        for u in _bits(frontier):
-            step |= masks[u]
+        while frontier:
+            low = frontier & -frontier
+            step |= masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = step & ~seen
         seen |= frontier
     return seen
@@ -242,20 +244,80 @@ def causal_distance(seq, r, p, q):
     return causal_reach(seq, r, p)[q]
 
 
+def _diameters(seq, a, b, sources, starts):
+    """`round_diameter` of every start round x in [a, a + starts - 1] at
+    once, each capped at round b (max_steps b - x + 1), by one bit-parallel
+    forward fold over rounds a .. b.  Returns the dicts (every, own) keyed
+    by x.
+
+    Process q holds one int, `held[q]`, with bit i*starts + x - a set once
+    the round-x state of the i-th source has reached q.  Round t sets the
+    bit of start t at each source, then ORs into every process the previous
+    ints of its round-t in-neighbours.  ANDing the ints across the sources,
+    then across the other processes, and each result across the sources'
+    blocks of `starts` bits, marks every start whose clause is complete
+    after round t: its diameter is t - x + 1.  The fold stops once every
+    start has completed the first clause, which the second never outlasts.
+    """
+    n = seq.n
+    members = sorted(sources)
+    others = [q for q in range(n) if q not in sources]
+    shifts = [i * starts for i in range(len(members))]
+    every = dict.fromkeys(range(a, a + starts), INFINITY)
+    own = dict(every)
+    held = [0] * n
+    open_every = open_own = 0  # bit x - a: start x begun, clause not complete
+    for t in range(a, b + 1):
+        k = t - a
+        if k < starts:
+            for p, shift in zip(members, shifts):
+                held[p] |= 1 << shift + k
+            open_every |= 1 << k
+            open_own |= 1 << k
+        in_masks = seq.round(t).in_masks()
+        step = []
+        for q in range(n):
+            h, m = held[q], in_masks[q]
+            while m:
+                low = m & -m
+                h |= held[low.bit_length() - 1]
+                m ^= low
+            step.append(h)
+        held = step
+        reached = -1
+        for p in members:
+            reached &= held[p]
+        done_own = open_own
+        for shift in shifts:
+            done_own &= reached >> shift
+        for q in others:
+            reached &= held[q]
+        done_every = open_every
+        for shift in shifts:
+            done_every &= reached >> shift
+        open_own ^= done_own
+        open_every ^= done_every
+        for clause, done in ((own, done_own), (every, done_every)):
+            while done:
+                low = done & -done
+                x = a + low.bit_length() - 1
+                clause[x] = t - x + 1
+                done ^= low
+        if k >= starts - 1 and not open_every:
+            break
+    return every, own
+
+
 def round_diameter(seq, x, sources, max_steps=None):
     """The pair of largest cd_x(p, q) over p in sources: over q any process,
     and over q in sources; chains may leave the sources.  Each is INFINITY as
     soon as one chain does not complete within max_steps (default the
-    remaining horizon).  The second is at most the first, so the search
-    stops once it is INFINITY."""
-    every = own = 0
-    for p in sources:
-        dist = causal_reach(seq, x, p, max_steps=max_steps)
-        every = max(every, max(dist))
-        own = max(own, max(dist[q] for q in sources))
-        if own == INFINITY:
-            break
-    return every, own
+    remaining horizon).  The fold of `_diameters` with the one start x."""
+    limit = seq.horizon - x + 1
+    if max_steps is not None:
+        limit = min(limit, max_steps)
+    every, own = _diameters(seq, x, x + limit - 1, sources, 1)
+    return every[x], own[x]
 
 
 def _interval_diameter(per_round, a, b):
@@ -326,10 +388,10 @@ def find_r_st(seq, d_bound):
     `network_causal_diameter`.  Violations of the single-root clause and of
     "every stable root interval of length >= D is D-bounded" are reported
     as fields, not errors, the latter under both the network diameter and
-    the members-to-members one, from one reachability search per round.
-    Every round is decomposed into root components exactly once, and each
-    single-root run is checked in passes linear in its length (O(D) per
-    window start).
+    the members-to-members one, from one `_diameters` fold per single-root
+    run.  Every round is decomposed into root components exactly once, and
+    each single-root run is checked in passes linear in its length (O(D)
+    per window start).
     """
     if d_bound < 1:
         raise ValueError("D must be >= 1")
@@ -349,10 +411,7 @@ def find_r_st(seq, d_bound):
             continue
         # Capped at the end of this stable run: any propagation that
         # qualifies for a sub-interval must finish inside it.
-        per_round, own = {}, {}
-        for x in range(a0, b0 + 1):
-            per_round[x], own[x] = round_diameter(
-                seq, x, members, max_steps=b0 - x + 1)
+        per_round, own = _diameters(seq, a0, b0, members, b0 - a0 + 1)
         # [x, x + D - 1] is not D-bounded iff per_round[x] > D.  If no x in
         # [a, b - D + 1] has that, round b - D + 1 and every other round
         # completing by b have diameters <= D, so [a, b] is D-bounded: these

@@ -145,6 +145,12 @@ def _senders(in_mask):
     return tuple(_bits(in_mask))
 
 
+@lru_cache(maxsize=1024)
+def _senders_json(in_mask):
+    """`json.dumps(_senders(in_mask))`, for the trace's `delivered`."""
+    return json.dumps(_senders(in_mask))
+
+
 def run(scenario, prune=False):
     """Simulate the scenario round by round and record a full trace.
 
@@ -221,7 +227,11 @@ def trace_save(trace, path):
     its `approx` digests from the recorded states.  Those are computed one
     process at a time, before any line is written: `_edges_json` walks that
     process's states of every round forward, and only the 16-character
-    digests are kept."""
+    digests are kept.  Each round line is joined from fragments in
+    `json.dumps(..., sort_keys=True)` order, its per-process keys sorted as
+    strings: a process's `cons` fragment is rendered again only when its
+    state object changes, and `delivered` reads `_senders_json`; `events`
+    and `predicates` go through `json.dumps`."""
     sc = trace.scenario
     rank, prefix = _layout(sc.n)
     digests = []  # [p][r - 1]
@@ -238,30 +248,35 @@ def trace_save(trace, path):
             "pruned": trace.pruned,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
+        keys = sorted(range(sc.n), key=str)  # json.dumps's order of str(p)
+        cons_of = [None] * sc.n
+        cons_text = [None] * sc.n  # [p]: '"p": {...}' of cons_of[p]
         for r, rec in enumerate(trace.records, start=1):
             in_masks = sc.seq.round(r).in_masks()
-            line = {
-                "round": r,
-                "delivered": {
-                    str(q): _senders(mask) for q, mask in enumerate(in_masks)
-                },
-                "events": {str(p): e for p, e in rec.events.items()},
-                "predicates": {
-                    str(p): {f"[{a},{b}]": v for (a, b), v in log.items()}
-                    for p, log in rec.predicate_evals.items()
-                },
-                "approx": {str(p): digests[p][r - 1] for p in range(sc.n)},
-                "cons": {
-                    str(p): {
+            for p, st in enumerate(rec.cons):
+                if st is not cons_of[p]:
+                    cons_of[p] = st
+                    cons_text[p] = f'"{p}": ' + json.dumps({
                         "x": st.x,
                         "locked": st.locked,
                         "lockRound": st.lock_round,
                         "decided": st.decided,
-                    }
-                    for p, st in enumerate(rec.cons)
-                },
-            }
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+                    }, sort_keys=True)
+            events = json.dumps(
+                {str(p): e for p, e in rec.events.items()}, sort_keys=True)
+            predicates = json.dumps({
+                str(p): {f"[{a},{b}]": v for (a, b), v in log.items()}
+                for p, log in rec.predicate_evals.items()
+            }, sort_keys=True)
+            approx = ", ".join(f'"{p}": "{digests[p][r - 1]}"' for p in keys)
+            cons = ", ".join(cons_text[p] for p in keys)
+            delivered = ", ".join(
+                f'"{q}": {_senders_json(in_masks[q])}' for q in keys)
+            fh.write(
+                f'{{"approx": {{{approx}}}, "cons": {{{cons}}}, '
+                f'"delivered": {{{delivered}}}, "events": {events}, '
+                f'"predicates": {predicates}, "round": {r}}}\n'
+            )
         footer = {
             "decisions": {
                 str(p): [v, r] for p, (v, r) in sorted(trace.decisions.items())

@@ -30,6 +30,8 @@ from dynconsensus.adversary import (
     ASSUMPTION_1,
     ASSUMPTION_2,
     _scenario,
+    scenario_from_dict,
+    scenario_to_dict,
     violation,
 )
 
@@ -264,6 +266,8 @@ class TestScenarioFormat:
             assert loaded.inputs == sc.inputs
             assert loaded.seq == sc.seq
             assert loaded.meta["generator"] == sc.meta["generator"]
+            # The dict form, edges as tuples, loads without JSON too.
+            assert scenario_from_dict(scenario_to_dict(sc)).seq == sc.seq
 
     def test_round_trip_keeps_every_meta_key(self, tmp_path):
         for key, sc in (

@@ -17,7 +17,7 @@ from dynconsensus import (
     vertex_stable_intervals,
 )
 from dynconsensus.adversary import scenario_from_dict
-from dynconsensus.graphs import round_diameter
+from dynconsensus.graphs import _diameters, causal_reach, round_diameter
 from forgery import sticky_sequence
 
 # The 5-node figure graph: 0<->1, 1->2, 3->0, 3->4, 4->1.
@@ -420,6 +420,48 @@ class TestFindRSt:
         assert find_r_st(seq, 2).r_st is None
 
 
+def per_start_diameters(seq, a, b, sources):
+    """The (every, own) diameters of each start x in [a, b], capped at
+    round b, as maxima of one causal_reach per source and start."""
+    every, own = {}, {}
+    for x in range(a, b + 1):
+        reach = [causal_reach(seq, x, p, max_steps=b - x + 1) for p in sources]
+        every[x] = max(max(dist) for dist in reach)
+        own[x] = max(dist[q] for dist in reach for q in sources)
+    return every, own
+
+
+class TestDiameterFold:
+    def test_matches_causal_reach_per_start(self):
+        rng = random.Random("diameter-fold")
+        seen = dict.fromkeys(
+            ["n = 1", "all processes", "ends at the horizon", "INFINITY",
+             "only own completes"], 0)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            horizon = rng.randint(1, 14)
+            density = rng.uniform(0.05, 0.6)
+            seq = GraphSequence(n, [
+                RoundGraph(n, [(p, q) for p in range(n) for q in range(n)
+                               if p != q and rng.random() < density])
+                for _ in range(horizon)
+            ])
+            a = rng.randint(1, horizon)
+            b = rng.randint(a, horizon)
+            sources = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            every, own = per_start_diameters(seq, a, b, sources)
+            assert _diameters(seq, a, b, sources, b - a + 1) == (every, own)
+            for x in range(a, b + 1):
+                assert round_diameter(seq, x, sources, max_steps=b - x + 1) == (
+                    every[x], own[x])
+            seen["n = 1"] += n == 1
+            seen["all processes"] += len(sources) == n > 1
+            seen["ends at the horizon"] += b == horizon
+            seen["INFINITY"] += INFINITY in every.values()
+            seen["only own completes"] += any(
+                own[x] < every[x] == INFINITY for x in every)
+        assert min(seen.values()) >= 20, seen
+
 def quadratic_search(per_round, a0, b0, d_bound):
     """Every sub-interval [a, b] of length D or more of the stable run
     [a0, b0], checked one by one with the start extended leftwards from each
@@ -439,8 +481,9 @@ def reference_find_r_st(seq, d_bound):
     """The quadratic search find_r_st once made, over every single-root
     stable run.  Returns (r_st, multi_root_rounds, unbounded_intervals,
     d_bounded_intervals, members_unbounded_intervals), each unbounded list
-    holding every sub-interval that is not D-bounded.  The members' own
-    diameters come from causal_distance over member pairs."""
+    holding every sub-interval that is not D-bounded.  Both clauses'
+    diameters come from causal_distance: from each member to every process,
+    and over member pairs."""
     window_len = 4 * d_bound + 2
     r_st, multi, unbounded, bounded, own_unbounded = None, [], [], [], []
     for a0, b0, members in vertex_stable_intervals(seq):
@@ -450,7 +493,8 @@ def reference_find_r_st(seq, d_bound):
         if b0 - a0 + 1 < d_bound:
             continue
         per_round = {
-            x: round_diameter(seq, x, members, max_steps=b0 - x + 1)[0]
+            x: max(causal_distance(seq, x, p, q)
+                   for p in members for q in range(seq.n))
             for x in range(a0, b0 + 1)
         }
         for a, b, ok in quadratic_search(per_round, a0, b0, d_bound):

@@ -544,6 +544,61 @@ class TestTraceFile:
                 want[str(p)] = hashlib.sha256(payload.encode()).hexdigest()[:16]
             assert line["approx"] == want
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_stable_window(seed=1, n=12, d_bound=2, r_st=3),
+        lambda: gen_two_roots(2, 2, 20),
+    ], ids=["sw12", "two_roots"])
+    def test_round_lines_equal_their_dict_form(self, tmp_path, make):
+        # Each round line is built from fragments; it must be the bytes of
+        # json.dumps of the line's dict form, keys sorted, so with n >= 11
+        # process "10" comes before "2" in every per-process object.
+        trace = run(make())
+        run_checkers(trace)
+        kinds = {e["kind"] for rec in trace.records
+                 for evs in rec.events.values() for e in evs}
+        if trace.scenario.n >= 11:
+            assert sum(bool(rec.predicate_evals) for rec in trace.records) > 1
+        else:
+            assert "conflicting_decides" in kinds
+        path = tmp_path / "trace.jsonl"
+        trace_save(trace, path)
+        lines = path.read_text().splitlines()[1:-1]
+        assert len(lines) == len(trace.records)
+        seq = trace.scenario.seq
+        for r, (line, rec) in enumerate(zip(lines, trace.records), start=1):
+            approx = {}
+            for p, state in enumerate(rec.approx):
+                payload = json.dumps({
+                    "edges": state.sorted_edges(),
+                    "owner": state.owner,
+                    "pruned_before": state.pruned_before,
+                    "vertices": sorted(state.vertices),
+                }, sort_keys=True)
+                approx[str(p)] = hashlib.sha256(payload.encode()).hexdigest()[:16]
+            want = {
+                "round": r,
+                "delivered": {
+                    str(q): list(graphs._bits(mask))
+                    for q, mask in enumerate(seq.round(r).in_masks())
+                },
+                "events": {str(p): e for p, e in rec.events.items()},
+                "predicates": {
+                    str(p): {f"[{a},{b}]": v for (a, b), v in log.items()}
+                    for p, log in rec.predicate_evals.items()
+                },
+                "approx": approx,
+                "cons": {
+                    str(p): {
+                        "x": st.x,
+                        "locked": st.locked,
+                        "lockRound": st.lock_round,
+                        "decided": st.decided,
+                    }
+                    for p, st in enumerate(rec.cons)
+                },
+            }
+            assert line == json.dumps(want, sort_keys=True)
+
 
 class TestBatch:
     def test_rows_and_csv(self, tmp_path):
