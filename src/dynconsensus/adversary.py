@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphs import (
@@ -41,18 +40,25 @@ class ScenarioParseError(ValueError):
     """A scenario file failed schema validation."""
 
 
-@dataclass(frozen=True)
 class Scenario:
-    d_bound: int
-    inputs: tuple
-    seq: GraphSequence
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.inputs) != self.n:
+    def __init__(self, d_bound, inputs, seq, meta=None):
+        if len(inputs) != seq.n:
             raise ValueError("inputs must assign one value per process")
-        if not 1 <= self.d_bound <= max(1, self.n - 1):
+        if not 1 <= d_bound <= max(1, seq.n - 1):
             raise ValueError("D must satisfy 1 <= D <= n-1")
+        self.d_bound = d_bound
+        self.inputs = inputs
+        self.seq = seq
+        self.meta = {} if meta is None else meta
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Scenario)
+            and self.d_bound == other.d_bound
+            and self.inputs == other.inputs
+            and self.seq == other.seq
+            and self.meta == other.meta
+        )
 
     @property
     def n(self):

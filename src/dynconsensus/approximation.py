@@ -29,7 +29,6 @@ for tests and tools; the trace digest renders its edges in `harness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
@@ -87,7 +86,6 @@ def _allowed_mask(vertices):
     return allowed
 
 
-@dataclass(repr=False, slots=True)
 class ApproxState:
     """Process p's approximation digraph: owner, vertices, and `packed`,
     whose slot k, `width` bits from bit k * width, holds the edge bits of
@@ -104,15 +102,25 @@ class ApproxState:
     built any other way gets it from its first full check in
     `_validate_snapshot`.  States must not be mutated."""
 
-    owner: int
-    vertices: frozenset
-    packed: int
-    pruned_before: int
-    width: int
-    _ok: bool = field(default=False, init=False, compare=False)
+    __slots__ = "owner", "vertices", "packed", "pruned_before", "width", "_ok"
 
-    def __post_init__(self):
-        self.vertices = frozenset(self.vertices)
+    def __init__(self, owner, vertices, packed, pruned_before, width):
+        self.owner = owner
+        self.vertices = frozenset(vertices)
+        self.packed = packed
+        self.pruned_before = pruned_before
+        self.width = width
+        self._ok = False
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ApproxState)
+            and self.owner == other.owner
+            and self.vertices == other.vertices
+            and self.packed == other.packed
+            and self.pruned_before == other.pruned_before
+            and self.width == other.width
+        )
 
     @property
     def slices(self):

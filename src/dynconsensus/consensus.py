@@ -8,12 +8,10 @@ changes no field returns its input state object as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class ConsensusState:
+class ConsensusState(NamedTuple):
     x: int
     locked: bool = False
     lock_round: int = 0
@@ -72,7 +70,9 @@ def cons_step(state, r, received, predicate, d_bound):
             values = sorted(m.x for m in received if m.decision is not None)
             events.append({"kind": "conflicting_decides", "values": values})
         events.append({"kind": "decide", "value": high, "round": r})
-        return replace(state, x=high, decision=(high, r)), events
+        decided = ConsensusState(high, state.locked, state.lock_round,
+                                 (high, r))
+        return decided, events
 
     if predicate((r - d_bound - 1, r - d_bound)):
         if not state.locked:

@@ -11,7 +11,7 @@ reported as INFINITY.  Rounds are 1-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 INFINITY = math.inf
 
@@ -122,8 +122,7 @@ class GraphSequence:
         return f"GraphSequence(n={self.n}, T={self.horizon})"
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """The oracle's facts about one sequence and D: the r_ST search outcome,
     assumption-clause violations, the root components of every round
     (roots[r - 1] is root_components of round r), and the maximal
@@ -136,11 +135,11 @@ class StabilityReport:
     depends on."""
 
     r_st: int | None
-    multi_root_rounds: list = field(default_factory=list)
-    unbounded_intervals: list = field(default_factory=list)
-    roots: tuple = ()
-    d_bounded_intervals: list = field(default_factory=list)
-    members_unbounded_intervals: list = field(default_factory=list)
+    multi_root_rounds: list
+    unbounded_intervals: list
+    roots: tuple
+    d_bounded_intervals: list
+    members_unbounded_intervals: list
 
     @property
     def assumption_holds(self):
@@ -398,13 +397,8 @@ def find_r_st(seq, d_bound):
     window_len = 4 * d_bound + 2
 
     roots = tuple(root_components(g) for g in seq.rounds)
-    report = StabilityReport(
-        r_st=None,
-        multi_root_rounds=[
-            x for x, rr in enumerate(roots, start=1) if len(rr) != 1
-        ],
-        roots=roots,
-    )
+    multi = [x for x, rr in enumerate(roots, start=1) if len(rr) != 1]
+    r_st, unbounded, members_unbounded, d_bounded = None, [], [], []
     for a0, b0, members in _stable_runs(roots):
         if members is None or b0 - a0 + 1 < d_bound:
             # No interval shorter than D is D-bounded.
@@ -418,17 +412,18 @@ def find_r_st(seq, d_bound):
         # are the minimal intervals that are not, and the rest contain one.
         # The same holds for the members' own diameters.
         starts = range(a0, b0 - d_bound + 2)
-        report.unbounded_intervals += [
+        unbounded += [
             (x, x + d_bound - 1) for x in starts if per_round[x] > d_bound
         ]
-        report.members_unbounded_intervals += [
+        members_unbounded += [
             (x, x + d_bound - 1) for x in starts if own[x] > d_bound
         ]
-        if report.r_st is None:
-            report.r_st = next((
+        if r_st is None:
+            r_st = next((
                 a for a in range(a0, b0 - window_len + 2)
                 if _is_d_bounded(per_round, a, a + window_len - 1, d_bound)
             ), None)
         if b0 - a0 + 1 > d_bound and _is_d_bounded(per_round, a0, b0, d_bound):
-            report.d_bounded_intervals.append((a0, b0, members))
-    return report
+            d_bounded.append((a0, b0, members))
+    return StabilityReport(r_st, multi, unbounded, roots, d_bounded,
+                           members_unbounded)

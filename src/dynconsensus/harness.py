@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import approximation as ap
 from . import consensus as cs
@@ -104,8 +104,7 @@ def scenario_digest(sc):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One round as the engine saw it: each process's events, predicate
     evaluations and end-of-round states.  Deliveries follow from the round
     graph and state digests from `approx`; `trace_save` derives both."""
@@ -116,17 +115,27 @@ class RoundRecord:
     cons: list  # [p] -> ConsensusState
 
 
-@dataclass
 class Trace:
-    scenario: object
-    records: list = field(default_factory=list)  # records[r - 1]: round r
-    decisions: dict = field(default_factory=dict)  # p -> (value, round)
-    verdicts: list = field(default_factory=list)
-    pruned: bool = False
+    def __init__(self, scenario, records=None, decisions=None, verdicts=None,
+                 pruned=False):
+        self.scenario = scenario
+        self.records = [] if records is None else records  # [r - 1]: round r
+        self.decisions = {} if decisions is None else decisions  # p -> (v, r)
+        self.verdicts = [] if verdicts is None else verdicts
+        self.pruned = pruned
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Trace)
+            and self.scenario == other.scenario
+            and self.records == other.records
+            and self.decisions == other.decisions
+            and self.verdicts == other.verdicts
+            and self.pruned == other.pruned
+        )
 
 
-@dataclass(frozen=True)
-class CheckerVerdict:
+class CheckerVerdict(NamedTuple):
     name: str
     status: str  # pass | fail | skipped
     witness: object = None

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynconsensus import (
     ApproxMessage,
+    ApproxState,
     GraphSequence,
     MalformedMessageError,
     RoundGraph,
@@ -95,7 +96,8 @@ def test_malformed_snapshots_rejected():
     zero, wide = approx_init(0, N), approx_init(1, N + 1)
     heard = approx_absorb(approx_init(1, N), 2,
                           [ApproxMessage(zero.owner, zero)])
-    stray = replace(approx_init(1, N), vertices={1, N})
+    # Built by the constructor, so not known well formed (`_ok` False).
+    stray = ApproxState(1, {1, N}, 0, 0, N * N)
     cases = [
         (ApproxMessage(wide.owner, wide), "169-bit slots, not 144"),
         (ApproxMessage(2, approx_init(1, N)), "owner mismatch"),
@@ -240,7 +242,8 @@ def _both(sender, owner, vertices, slices, pruned_before=0, *, n=N,
     state = forge(n, owner, vertices, slices, pruned_before)
     if stray is not None:
         vertices = {*vertices, stray}
-        state = replace(state, vertices=vertices)
+        state = ApproxState(owner, vertices, state.packed, pruned_before,
+                            state.width)
     ref = _canonical(RefState(owner, vertices, slices, pruned_before, n * n))
     return ApproxMessage(sender, state), (sender, ref)
 

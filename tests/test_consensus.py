@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 from hypothesis import given, settings, strategies as st
 
 from dynconsensus import ConsensusState, cons_init, cons_step
@@ -111,7 +109,9 @@ def reference_step(state, r, received, predicate, d_bound):
             )
         v = decide_values[-1]
         events.append({"kind": "decide", "value": v, "round": r})
-        return replace(state, x=v, decision=(v, r)), events
+        return ConsensusState(x=v, locked=state.locked,
+                              lock_round=state.lock_round,
+                              decision=(v, r)), events
     best = (state.lock_round, state.x)
     for m in received:
         if not m.decided:
